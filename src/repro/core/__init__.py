@@ -6,7 +6,9 @@ The framework follows §2 of the paper:
     structure ``D(S)`` built from a ground set ``S``, whose nodes and
     links carry *ranges* (sets of universe values), with incidence
     defined by range intersection.  See
-    :mod:`repro.core.link_structure` and :mod:`repro.core.ranges`.
+    :mod:`repro.core.link_structure` and :mod:`repro.core.ranges`;
+    :mod:`repro.core.tree_structure` is the shared base of the
+    tree-shaped structures (quadtrees, tries).
 
 2.  A *set-halving lemma* (§2.2) bounds the expected number of ranges of
     ``D(S)`` that conflict with the maximal range of ``D(T)`` containing
@@ -30,7 +32,12 @@ The framework follows §2 of the paper:
 """
 
 from repro.core.ranges import Range, Interval, Singleton, EverythingRange
-from repro.core.link_structure import RangeUnit, UnitKind, RangeDeterminedLinkStructure
+from repro.core.link_structure import (
+    RangeDeterminedLinkStructure,
+    RangeUnit,
+    StructureDelta,
+    UnitKind,
+)
 from repro.core.levels import MembershipAssignment, LevelSets
 from repro.core.blocking import (
     BlockingPolicy,
@@ -53,6 +60,7 @@ __all__ = [
     "RangeUnit",
     "UnitKind",
     "RangeDeterminedLinkStructure",
+    "StructureDelta",
     "MembershipAssignment",
     "LevelSets",
     "BlockingPolicy",

@@ -10,6 +10,7 @@ directly; it talks to them through the abstract interface defined here:
 
 * :class:`RangeUnit` — one node or link together with its range and a
   hashable key.
+* :class:`StructureDelta` — the units one §4 update added and removed.
 * :class:`RangeDeterminedLinkStructure` — the abstract structure: it can
   enumerate its units, report incidences, compute conflict lists against
   an arbitrary range, locate a query locally, pick the best unit among a
@@ -80,6 +81,29 @@ class RangeUnit:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RangeUnit({self.kind.value}, key={self.key!r}, range={self.range!r})"
+
+
+@dataclass(frozen=True, slots=True)
+class StructureDelta:
+    """What one :meth:`~RangeDeterminedLinkStructure.with_item` /
+    :meth:`~RangeDeterminedLinkStructure.without_item` call changed.
+
+    Attributes
+    ----------
+    structure:
+        The updated structure — the receiver itself when it was updated
+        in place, a fresh instance when it was rebuilt, ``None`` when its
+        last item was removed.
+    added / removed:
+        The units whose *keys* appeared in / disappeared from the
+        structure.  A unit that keeps its key but changes content (a
+        payload representative, a link's parent) is in neither: its
+        record is refreshed only when the update protocol rewires it.
+    """
+
+    structure: "RangeDeterminedLinkStructure | None"
+    added: Sequence[RangeUnit]
+    removed: Sequence[RangeUnit]
 
 
 class RangeDeterminedLinkStructure(abc.ABC):
@@ -294,26 +318,54 @@ class RangeDeterminedLinkStructure(abc.ABC):
     # ------------------------------------------------------------------ #
     # updates (§4)
     # ------------------------------------------------------------------ #
-    def with_item(self, item: Any) -> "RangeDeterminedLinkStructure":
-        """Return ``D(S ∪ {item})``.
+    def with_item(self, item: Any) -> "StructureDelta":
+        """Turn this structure into ``D(S ∪ {item})`` and report what changed.
 
         The default rebuilds from scratch, which is always correct because
-        the structure is determined by its ground set; subclasses may
-        override with an incremental version.  The skip-web update
-        protocol charges messages according to the *diff* between the old
-        and new unit sets, not according to how the new structure was
-        computed, so rebuilding does not distort the measured ``U(n)``.
+        the structure is determined by its ground set; subclasses override
+        it with an in-place update that touches only the units it changes.
+        Either way the result must be field-for-field what a rebuild over
+        the enlarged set produces — the skip-web update protocol places
+        records by unit payload and charges messages per changed record,
+        so any drift from the canonical structure moves the measured
+        ``U(n)``.
         """
         if item in self.items:
             raise StructureError(f"{self.name}: item {item!r} already present")
-        return type(self).build(list(self.items) + [item], **self.build_params())
+        return self._rebuilt(list(self.items) + [item])
 
-    def without_item(self, item: Any) -> "RangeDeterminedLinkStructure":
-        """Return ``D(S \\ {item})`` (default: rebuild)."""
-        remaining = [existing for existing in self.items if existing != item]
-        if len(remaining) == len(self.items):
+    def without_item(self, item: Any) -> "StructureDelta":
+        """Turn this structure into ``D(S \\ {item})`` and report what changed.
+
+        Same contract as :meth:`with_item`; removing the last item yields
+        a delta whose ``structure`` is ``None``.
+        """
+        items = self.items
+        remaining = [existing for existing in items if existing != item]
+        if len(remaining) == len(items):
             raise StructureError(f"{self.name}: item {item!r} not present")
-        return type(self).build(remaining, **self.build_params())
+        return self._rebuilt(remaining)
+
+    def _rebuilt(self, items: list[Any]) -> "StructureDelta":
+        """``D(items)`` built from scratch, diffed against this structure.
+
+        The one place a whole-level key difference is computed: in-place
+        overrides know their delta and never come through here.
+        """
+        if not items:
+            return self._emptied()
+        rebuilt = type(self).build(items, **self.build_params())
+        old_units = self.unit_map()
+        new_units = rebuilt.unit_map()
+        return StructureDelta(
+            rebuilt,
+            added=[unit for key, unit in new_units.items() if key not in old_units],
+            removed=[unit for key, unit in old_units.items() if key not in new_units],
+        )
+
+    def _emptied(self) -> "StructureDelta":
+        """The delta of removing the last item: every unit goes, no structure is left."""
+        return StructureDelta(None, added=(), removed=self.units())
 
     def build_params(self) -> dict[str, Any]:
         """The ``params`` needed to rebuild a compatible structure.

@@ -163,6 +163,9 @@ class SkipWeb:
 
         # Home hosts for items: queries about an item start at its owner.
         self._owners: dict[Any, HostId] = evenly_owned_items(list(items), self._host_ids)
+        # host -> the items it owns, in ``_owners`` order (the first one
+        # re-roots the host when its root item is deleted)
+        self._owned_by_host: dict[HostId, dict[Any, None]] = self._owned_items_by_host()
 
         self._membership = MembershipAssignment(
             list(items), height=self.config.height, rng=self._rng
@@ -180,6 +183,9 @@ class SkipWeb:
         # host -> membership word of the item whose top-level structure is
         # that host's root
         self._root_word_of_host: dict[HostId, BitPrefix] = {}
+        # the same relation inverted, so a delete finds the hosts rooted at
+        # the deleted item's word without scanning every host
+        self._hosts_rooted_at: dict[BitPrefix, set[HostId]] = {}
         # root_entries() memo, invalidated whenever the record layout moves
         # (record creation/removal, churn re-homing) via ``_layout_epoch``.
         self._layout_epoch = 0
@@ -261,15 +267,62 @@ class SkipWeb:
         #    one of the items it owns (or of an arbitrary item if it owns
         #    none), mirroring the paper's per-host root pointer.
         fallback_word = self._membership.word(next(self._membership.items()))
-        owned_by_host: dict[HostId, Any] = {}
-        for item, owner in self._owners.items():
-            owned_by_host.setdefault(owner, item)
         for host_id in self._host_ids:
-            item = owned_by_host.get(host_id)
-            word = self._membership.word(item) if item is not None else fallback_word
-            self._root_word_of_host[host_id] = word
+            self._set_root_word(host_id, self._first_owned_word(host_id, fallback_word))
         # 5. congestion bookkeeping
         self.recompute_reference_counts()
+
+    # ------------------------------------------------------------------ #
+    # ownership and root bookkeeping
+    # ------------------------------------------------------------------ #
+    def _owned_items_by_host(self) -> dict[HostId, dict[Any, None]]:
+        """``_owners`` inverted (O(n); build and churn only)."""
+        owned: dict[HostId, dict[Any, None]] = {}
+        for item, owner in self._owners.items():
+            owned.setdefault(owner, {})[item] = None
+        return owned
+
+    def _record_owner(self, item: Any, host_id: HostId) -> None:
+        """Register a newly inserted ``item`` as owned by ``host_id``."""
+        self._owners[item] = host_id
+        self._owned_by_host.setdefault(host_id, {})[item] = None
+
+    def _forget_owner(self, item: Any) -> None:
+        """Drop a deleted ``item`` from the ownership maps."""
+        owner = self._owners.pop(item, None)
+        if owner is not None:
+            self._owned_by_host[owner].pop(item, None)
+
+    def _first_owned_word(self, host_id: HostId, fallback: BitPrefix) -> BitPrefix:
+        """The membership word of the first item ``host_id`` owns, else ``fallback``."""
+        for item in self._owned_by_host.get(host_id, ()):
+            return self._membership.word(item)
+        return fallback
+
+    def _set_root_word(self, host_id: HostId, word: BitPrefix | None) -> None:
+        """Point ``host_id``'s root at ``word`` (``None`` forgets the host)."""
+        previous = self._root_word_of_host.pop(host_id, None)
+        if previous is not None:
+            rooted = self._hosts_rooted_at[previous]
+            rooted.discard(host_id)
+            if not rooted:
+                del self._hosts_rooted_at[previous]
+        if word is not None:
+            self._root_word_of_host[host_id] = word
+            self._hosts_rooted_at.setdefault(word, set()).add(host_id)
+
+    def _reroot_hosts_at(self, word: BitPrefix) -> None:
+        """Re-point every host rooted at a just-deleted item's ``word``.
+
+        Such a host moves to the word of the first item it still owns, or
+        of an arbitrary surviving item when it owns none.
+        """
+        rooted = self._hosts_rooted_at.get(word)
+        if not rooted:
+            return
+        surviving_word = self._membership.word(next(self._membership.items()))
+        for host_id in list(rooted):
+            self._set_root_word(host_id, self._first_owned_word(host_id, surviving_word))
 
     def _create_record(self, level: int, prefix: BitPrefix, unit: RangeUnit) -> Address:
         """Store a fresh (unwired) record on the host the blocking policy picks."""
@@ -456,7 +509,7 @@ class SkipWeb:
         if word is None:
             # Host joined after construction; fall back to any item's word.
             word = self._membership.word(next(self._membership.items()))
-            self._root_word_of_host[host_id] = word
+            self._set_root_word(host_id, word)
         # Descend to the highest non-empty structure along the word.
         for level in range(self.height, -1, -1):
             prefix = word[:level]
@@ -589,8 +642,9 @@ class SkipWeb:
             if owner in host_ids:
                 self._owners[item] = pool[moved % len(pool)]
                 moved += 1
+        self._owned_by_host = self._owned_items_by_host()
         for host_id in host_ids:
-            self._root_word_of_host.pop(host_id, None)
+            self._set_root_word(host_id, None)
         return moved
 
     def _rewire_referencers(

@@ -14,13 +14,15 @@ Deletion is symmetric.  The expected number of affected units per level
 is O(1) by the set-halving lemma, so the expected message cost is
 O(log n).
 
-Implementation note.  Each level structure is *recomputed* from its new
-element set and then diffed against the old structure; the records
-created, removed or rewired are exactly the units in the diff plus the
+Implementation note.  Each level structure updates itself through
+:meth:`~repro.core.link_structure.RangeDeterminedLinkStructure.with_item`
+/ ``without_item`` and reports the units it added and removed; the
+records created, removed or rewired are exactly those units plus the
 units adjacent to them.  Messages are charged per distinct host whose
 records change at each level, which is what a real distributed
 implementation would pay; how the new structure is computed locally does
-not affect the measured ``U(n)``.
+not affect the measured ``U(n)``, but it must equal the structure a
+rebuild would produce, because records are placed by unit payload.
 
 Like queries, updates are written as resumable step generators
 (:func:`insert_steps` / :func:`delete_steps`) so that
@@ -35,9 +37,8 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.core.levels import BitPrefix
-from repro.core.link_structure import RangeDeterminedLinkStructure
+from repro.core.link_structure import StructureDelta
 from repro.core.query import query_steps
-from repro.core.ranges import Range
 from repro.engine.steps import StepCursor, StepGenerator, run_immediate
 from repro.errors import UpdateError
 from repro.net.message import MessageKind
@@ -65,61 +66,40 @@ class UpdateResult:
         )
 
 
-def _level_diff(
-    old_structure: RangeDeterminedLinkStructure | None,
-    new_structure: RangeDeterminedLinkStructure | None,
-) -> tuple[set[Hashable], set[Hashable], list[Range]]:
-    """Keys added, keys removed and the ranges of every changed unit."""
-    # Key *views* of the unit maps, not fresh sets: the diff only needs
-    # the two set differences, and both structures' unit maps are
-    # snapshots that outlive this call.
-    old_keys = old_structure.unit_map().keys() if old_structure is not None else set()
-    new_keys = new_structure.unit_map().keys() if new_structure is not None else set()
-    added = new_keys - old_keys
-    removed = old_keys - new_keys
-    changed_ranges: list[Range] = []
-    if old_structure is not None and removed:
-        old_units = old_structure.unit_map()
-        changed_ranges.extend(old_units[key].range for key in removed)
-    if new_structure is not None and added:
-        new_units = new_structure.unit_map()
-        changed_ranges.extend(new_units[key].range for key in added)
-    return added, removed, changed_ranges
-
-
 def _apply_level_change(
     skipweb,
     level: int,
     prefix: BitPrefix,
-    new_structure: RangeDeterminedLinkStructure | None,
+    delta: StructureDelta,
 ) -> tuple[set[HostId], int, int]:
-    """Replace one level structure, updating records and pointers.
+    """Install one level's updated structure, updating records and pointers.
 
     Returns the set of hosts whose records changed, the number of records
     added and the number removed.  The caller charges one message per
     distinct affected host.
     """
-    old_structure = skipweb._structures.get((level, prefix))
-    added, removed, changed_ranges = _level_diff(old_structure, new_structure)
-
+    new_structure = delta.structure
     affected_hosts: set[HostId] = set()
 
     # 1. drop stale records
-    for key in removed:
-        address = skipweb._remove_record(level, prefix, key)
+    for unit in delta.removed:
+        address = skipweb._remove_record(level, prefix, unit.key)
         affected_hosts.add(address.host)
 
     # 2. install / retire the structure itself
     if new_structure is None:
         del skipweb._structures[(level, prefix)]
-        return affected_hosts, 0, len(removed)
+        return affected_hosts, 0, len(delta.removed)
     skipweb._structures[(level, prefix)] = new_structure
 
     # 3. create records for new units
-    for key in added:
-        unit = new_structure.unit(key)
+    for unit in delta.added:
         address = skipweb._create_record(level, prefix, unit)
         affected_hosts.add(address.host)
+
+    added = {unit.key for unit in delta.added}
+    changed_ranges = [unit.range for unit in delta.removed]
+    changed_ranges.extend(unit.range for unit in delta.added)
 
     # 4. rewire this level: new units, their neighbours, and every unit
     #    whose range overlaps a changed range (their neighbour sets or
@@ -163,7 +143,7 @@ def _apply_level_change(
                         skipweb._address_of[(level + 1, child_prefix, key)].host
                     )
 
-    return affected_hosts, len(added), len(removed)
+    return affected_hosts, len(added), len(delta.removed)
 
 
 def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
@@ -190,8 +170,9 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
 
     # Step 2: draw the membership word and register ownership.
     word = skipweb._membership.assign(item)
-    skipweb._owners[item] = origin_host
-    skipweb._root_word_of_host.setdefault(origin_host, word)
+    skipweb._record_owner(item, origin_host)
+    if origin_host not in skipweb._root_word_of_host:
+        skipweb._set_root_word(origin_host, word)
 
     # Step 3: update every level bottom-up, atomically.
     per_level_affected: list[set[HostId]] = []
@@ -202,14 +183,11 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
         prefix = word[:level]
         old_structure = skipweb._structures.get((level, prefix))
         if old_structure is None:
-            new_structure = skipweb.structure_cls.build(
-                [item], **skipweb.config.structure_params
-            )
+            fresh = skipweb.structure_cls.build([item], **skipweb.config.structure_params)
+            delta = StructureDelta(fresh, added=fresh.units(), removed=())
         else:
-            new_structure = old_structure.with_item(item)
-        affected, added, removed = _apply_level_change(
-            skipweb, level, prefix, new_structure
-        )
+            delta = old_structure.with_item(item)
+        affected, added, removed = _apply_level_change(skipweb, level, prefix, delta)
         per_level_affected.append(affected)
         hosts_touched |= affected
         total_added += added
@@ -251,20 +229,8 @@ def delete_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     start_host = search.hosts_visited[-1] if search.hosts_visited else origin_host
 
     word = skipweb._membership.forget(item)
-    skipweb._owners.pop(item, None)
-
-    # Reassign the root of any host whose root pointed at the deleted
-    # item's top-level structure chain.
-    surviving_item = next(skipweb._membership.items())
-    surviving_word = skipweb._membership.word(surviving_item)
-    for host_id, root_word in list(skipweb._root_word_of_host.items()):
-        if root_word == word:
-            replacement = None
-            for candidate, owner in skipweb._owners.items():
-                if owner == host_id:
-                    replacement = skipweb._membership.word(candidate)
-                    break
-            skipweb._root_word_of_host[host_id] = replacement or surviving_word
+    skipweb._forget_owner(item)
+    skipweb._reroot_hosts_at(word)
 
     # Apply every level change atomically, then charge (see insert_steps).
     per_level_affected: list[set[HostId]] = []
@@ -276,15 +242,8 @@ def delete_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
         old_structure = skipweb._structures.get((level, prefix))
         if old_structure is None:
             continue
-        remaining = [existing for existing in old_structure.items if existing != item]
-        if remaining:
-            new_structure = skipweb.structure_cls.build(
-                remaining, **skipweb.config.structure_params
-            )
-        else:
-            new_structure = None
         affected, added, removed = _apply_level_change(
-            skipweb, level, prefix, new_structure
+            skipweb, level, prefix, old_structure.without_item(item)
         )
         per_level_affected.append(affected)
         hosts_touched |= affected

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Mapping, Sequence
 
 from repro.core.bulkload import is_strictly_increasing
-from repro.core.link_structure import RangeDeterminedLinkStructure, RangeUnit, UnitKind
+from repro.core.link_structure import (
+    RangeDeterminedLinkStructure,
+    RangeUnit,
+    StructureDelta,
+    UnitKind,
+)
 from repro.core.ranges import Interval, Range, Singleton
 from repro.errors import QueryError, StructureError
 
@@ -56,6 +61,25 @@ def _link_key(low: float, high: float) -> Hashable:
     return ("link", low, high)
 
 
+def _node_unit(value: float) -> RangeUnit:
+    return RangeUnit(
+        key=_node_key(value), kind=UnitKind.NODE, range=Singleton(value), payload=value
+    )
+
+
+def _link_unit(low: float, high: float) -> RangeUnit:
+    """The link joining ``low`` and ``high``; an infinite end makes it a sentinel."""
+    if low == _NEG_INF:
+        link_range, payload = Interval.below(high), (None, high)
+    elif high == _POS_INF:
+        link_range, payload = Interval.above(low), (low, None)
+    else:
+        link_range, payload = Interval(low, high), (low, high)
+    return RangeUnit(
+        key=_link_key(low, high), kind=UnitKind.LINK, range=link_range, payload=payload
+    )
+
+
 class SortedListStructure(RangeDeterminedLinkStructure):
     """``D(S)``: the sorted doubly-linked list over a set of numeric keys."""
 
@@ -83,43 +107,13 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         return cls(items)
 
     def _build_units(self) -> list[RangeUnit]:
-        units: list[RangeUnit] = []
         keys = self._keys
-        units.append(
-            RangeUnit(
-                key=_link_key(_NEG_INF, keys[0]),
-                kind=UnitKind.LINK,
-                range=Interval.below(keys[0]),
-                payload=(None, keys[0]),
-            )
-        )
+        units = [_link_unit(_NEG_INF, keys[0])]
         for index, value in enumerate(keys):
-            units.append(
-                RangeUnit(
-                    key=_node_key(value),
-                    kind=UnitKind.NODE,
-                    range=Singleton(value),
-                    payload=value,
-                )
-            )
+            units.append(_node_unit(value))
             if index + 1 < len(keys):
-                successor = keys[index + 1]
-                units.append(
-                    RangeUnit(
-                        key=_link_key(value, successor),
-                        kind=UnitKind.LINK,
-                        range=Interval(value, successor),
-                        payload=(value, successor),
-                    )
-                )
-        units.append(
-            RangeUnit(
-                key=_link_key(keys[-1], _POS_INF),
-                kind=UnitKind.LINK,
-                range=Interval.above(keys[-1]),
-                payload=(keys[-1], None),
-            )
-        )
+                units.append(_link_unit(value, keys[index + 1]))
+        units.append(_link_unit(keys[-1], _POS_INF))
         return units
 
     def _build_adjacency(self) -> dict[Hashable, list[Hashable]]:
@@ -139,19 +133,15 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         return adjacency
 
     # ------------------------------------------------------------------ #
-    # incremental insertion (canonical: identical to a full rebuild)
+    # in-place updates (canonical: identical to a full rebuild)
     # ------------------------------------------------------------------ #
-    def with_item(self, item: Any) -> "SortedListStructure":
-        """``D(S ∪ {x})`` by splicing — bit-identical to rebuilding.
+    def with_item(self, item: Any) -> StructureDelta:
+        """``D(S ∪ {x})`` by splicing in place — bit-identical to rebuilding.
 
         The sorted list's unit sequence is fully determined by the sorted
-        key array, so the rebuild that the base class performs can be
-        replaced by an O(n) splice around the insertion position: the one
-        link spanning the gap is replaced by node + two links, the
-        adjacency entries of the two bracketing nodes are patched, and
-        everything else is shared structurally with this instance (units
-        are immutable).  ``self`` is left untouched, so the §4 update
-        protocol can still diff against the pre-update snapshot.
+        key array, so only the insertion position changes: the one link
+        spanning the gap is replaced by node + two links and the
+        adjacency entries of the two bracketing nodes are patched.
         """
         value = float(item)
         keys = self._keys
@@ -160,57 +150,73 @@ class SortedListStructure(RangeDeterminedLinkStructure):
             raise StructureError(f"{self.name}: item {item!r} already present")
         low = keys[index - 1] if index > 0 else _NEG_INF
         high = keys[index] if index < len(keys) else _POS_INF
-
-        node = RangeUnit(
-            key=_node_key(value), kind=UnitKind.NODE, range=Singleton(value), payload=value
-        )
-        left = RangeUnit(
-            key=_link_key(low, value),
-            kind=UnitKind.LINK,
-            range=Interval.below(value) if low == _NEG_INF else Interval(low, value),
-            payload=(None if low == _NEG_INF else low, value),
-        )
-        right = RangeUnit(
-            key=_link_key(value, high),
-            kind=UnitKind.LINK,
-            range=Interval.above(value) if high == _POS_INF else Interval(value, high),
-            payload=(value, None if high == _POS_INF else high),
-        )
-        old_link = _link_key(low, high)
+        node, left, right = _node_unit(value), _link_unit(low, value), _link_unit(value, high)
         # Unit-list layout: [low sentinel, node k0, link k0-k1, node k1, ...,
         # node kN, high sentinel]; the replaced link sits at 2 * index.
-        splice_at = 2 * index
-        if self._units[splice_at].key != old_link:
+        old_link = self._unit_at(2 * index, _link_key(low, high))
+
+        keys.insert(index, value)
+        self._units[2 * index : 2 * index + 1] = [left, node, right]
+        self._replace_units(removed=(old_link,), added=(left, node, right))
+        self._adjacency[node.key] = [left.key, right.key]
+        self._splice_link(left)
+        self._splice_link(right)
+        return StructureDelta(self, added=(left, node, right), removed=(old_link,))
+
+    def without_item(self, item: Any) -> StructureDelta:
+        """``D(S \\ {x})`` by splicing in place — the mirror of :meth:`with_item`.
+
+        Node ``x`` and its two links collapse into the one link joining
+        its former neighbours.
+        """
+        value = float(item)
+        keys = self._keys
+        index = bisect.bisect_left(keys, value)
+        if index == len(keys) or keys[index] != value:
+            raise StructureError(f"{self.name}: item {item!r} not present")
+        if len(keys) == 1:
+            return self._emptied()
+        low = keys[index - 1] if index > 0 else _NEG_INF
+        high = keys[index + 1] if index + 1 < len(keys) else _POS_INF
+        left = self._unit_at(2 * index, _link_key(low, value))
+        node, right = self._units[2 * index + 1 : 2 * index + 3]
+        merged = _link_unit(low, high)
+
+        del keys[index]
+        self._units[2 * index : 2 * index + 3] = [merged]
+        self._replace_units(removed=(left, node, right), added=(merged,))
+        self._splice_link(merged)
+        return StructureDelta(self, added=(merged,), removed=(left, node, right))
+
+    def _unit_at(self, position: int, expected_key: Hashable) -> RangeUnit:
+        """The unit at ``position`` of the unit list, which must be ``expected_key``."""
+        unit = self._units[position]
+        if unit.key != expected_key:
             raise StructureError(
-                f"sorted-list unit layout violated: expected {old_link!r} "
-                f"at position {splice_at}, found {self._units[splice_at].key!r}"
+                f"sorted-list unit layout violated: expected {expected_key!r} "
+                f"at position {position}, found {unit.key!r}"
             )
+        return unit
 
-        clone = SortedListStructure.__new__(SortedListStructure)
-        clone._keys = keys[:index] + [value] + keys[index:]
-        clone._units = self._units[:splice_at] + [left, node, right] + self._units[splice_at + 1 :]
-        units_by_key = dict(self._units_by_key)
-        del units_by_key[old_link]
-        units_by_key[left.key] = left
-        units_by_key[node.key] = node
-        units_by_key[right.key] = right
-        clone._units_by_key = units_by_key
+    def _splice_link(self, link: RangeUnit) -> None:
+        """Wire a new link to its finite endpoint nodes, in place of their old links."""
+        low, high = link.payload
+        endpoints = []
+        if low is not None:
+            endpoints.append(_node_key(low))
+            self._adjacency[_node_key(low)][1] = link.key
+        if high is not None:
+            endpoints.append(_node_key(high))
+            self._adjacency[_node_key(high)][0] = link.key
+        self._adjacency[link.key] = endpoints
 
-        adjacency = dict(self._adjacency)
-        del adjacency[old_link]
-        adjacency[node.key] = [left.key, right.key]
-        adjacency[left.key] = ([] if low == _NEG_INF else [_node_key(low)]) + [node.key]
-        adjacency[right.key] = [node.key] + ([] if high == _POS_INF else [_node_key(high)])
-        if low != _NEG_INF:
-            adjacency[_node_key(low)] = [
-                left.key if key == old_link else key for key in adjacency[_node_key(low)]
-            ]
-        if high != _POS_INF:
-            adjacency[_node_key(high)] = [
-                right.key if key == old_link else key for key in adjacency[_node_key(high)]
-            ]
-        clone._adjacency = adjacency
-        return clone
+    def _replace_units(self, removed: Sequence[RangeUnit], added: Sequence[RangeUnit]) -> None:
+        """Swap ``removed`` for ``added`` in the key index and the adjacency map."""
+        for unit in removed:
+            del self._units_by_key[unit.key]
+            del self._adjacency[unit.key]
+        for unit in added:
+            self._units_by_key[unit.key] = unit
 
     # ------------------------------------------------------------------ #
     # RangeDeterminedLinkStructure interface

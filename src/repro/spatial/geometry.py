@@ -32,6 +32,22 @@ def point_distance(first: Point, second: Point) -> float:
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(first, second)))
 
 
+def _stays_in_cells(low: float, side: float, coordinate: float) -> bool:
+    """Whether ``coordinate`` lies in every dyadic cell of ``[low, low + side]`` it is routed to.
+
+    One axis of the arithmetic of :meth:`HyperCube.child_index` and
+    :meth:`HyperCube.child`, followed until the halves drop below the
+    resolution of ``low``.
+    """
+    while coordinate <= low + side:
+        side /= 2
+        if low + side == low:
+            return True
+        if coordinate >= low + side:
+            low += side
+    return False
+
+
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned box given by its lower corner and side lengths."""
@@ -56,6 +72,12 @@ class BoundingBox:
         side = max(high - low for low, high in zip(lows, highs))
         side = (side + 2 * padding) or 1.0
         lower = tuple(low - padding for low in lows)
+        # ``low + side`` — and the same sum taken half by half down the
+        # cell hierarchy — can round to just below the maximum coordinate,
+        # leaving that point outside the cells it is routed to; widen by
+        # single ulps, and only then, until it stays inside.
+        while not all(_stays_in_cells(low, side, high) for low, high in zip(lower, highs)):
+            side = math.nextafter(side, math.inf)
         return BoundingBox(lower=lower, sides=tuple(side for _ in range(dimension)))
 
     @property

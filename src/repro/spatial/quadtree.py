@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro.core.tree_structure import TreeChange
 from repro.errors import StructureError
 from repro.spatial.geometry import HyperCube, Point, as_point, point_distance
 
@@ -35,11 +36,8 @@ class QuadtreeCell:
     points: tuple[Point, ...]
     children: list["QuadtreeCell"] = field(default_factory=list)
     parent: "QuadtreeCell | None" = None
-    # Unit-collection caches (see skip_quadtree.QuadtreeStructure):
-    # ``ukeys`` is ``(cube, node_key, link_key)``, valid while the cube
-    # object is unchanged; ``nunit`` / ``lunit`` are the last node / link
-    # RangeUnits built for this cell, revalidated by identity checks.
-    ukeys: "tuple | None" = field(default=None, repr=False, compare=False)
+    # The node / link-to-parent RangeUnits this cell is indexed under;
+    # owned by skip_quadtree.QuadtreeStructure (see TreeLinkStructure).
     nunit: "object | None" = field(default=None, repr=False, compare=False)
     lunit: "object | None" = field(default=None, repr=False, compare=False)
 
@@ -67,6 +65,10 @@ class QuadtreeCell:
             f"QuadtreeCell(side={self.cube.side}, points={len(self.points)}, "
             f"children={len(self.children)})"
         )
+
+
+def _without(points: tuple[Point, ...], position: int) -> tuple[Point, ...]:
+    return points[:position] + points[position + 1 :]
 
 
 class CompressedQuadtree:
@@ -100,6 +102,11 @@ class CompressedQuadtree:
         self.dimension = bounding_cube.dimension
         self._points = tuple(normalized)
         self._point_set = seen
+        # Stored points on (or within rounding of) a far, closed face of
+        # the bounding cube: the only points a half-open cell on their
+        # path can fail to contain, and so the only place compression
+        # stops early (see remove_point).
+        self._far_face = {point for point in normalized if self._on_far_face(point)}
         self.root = self._build(bounding_cube, list(normalized), is_root=True)
         self.root.parent = None
 
@@ -136,6 +143,17 @@ class CompressedQuadtree:
             cell.children.append(child)
         return cell
 
+    def _on_far_face(self, point: Point) -> bool:
+        """Whether ``point`` is close enough to a far face to land on a cell's closed edge.
+
+        A cell's upper bound is summed half by half from the bounding
+        cube's, so it can sit a few ulps below it; the slack is the same
+        ``1e-12`` :meth:`HyperCube.contains_cube` pads with.
+        """
+        cube = self.bounding_cube
+        reach = cube.side * (1 - 1e-12)
+        return any(value >= low + reach for low, value in zip(cube.lower, point))
+
     @staticmethod
     def _child_index(cube: HyperCube, point: Point) -> int:
         index = cube.child_index(point)
@@ -149,7 +167,7 @@ class CompressedQuadtree:
     # ------------------------------------------------------------------ #
     # incremental insertion (canonical: identical to a full rebuild)
     # ------------------------------------------------------------------ #
-    def insert_point(self, point: Point) -> None:
+    def insert_point(self, point: Point) -> TreeChange:
         """Add one point in place, producing exactly the rebuilt tree.
 
         Compressed quadtrees are canonical in their point set (given the
@@ -171,11 +189,14 @@ class CompressedQuadtree:
         self._points = self._points + (p,)
         self._point_set.add(p)
         root = self.root
+        if self._on_far_face(p):
+            # Half-open cells may fail to contain it: no local reasoning.
+            self._far_face.add(p)
+            return self._rebuild_all()
         if root.is_leaf:
             # n was 1: the root is the leaf; rebuild the two-point tree.
-            self.root = self._build(self.bounding_cube, list(self._points), is_root=True)
-            self.root.parent = None
-            return
+            return self._rebuild_all()
+        change = TreeChange()
         root.points = root.points + (p,)
         if len(root.children) == 1:
             # Compressed root: the single child carries the real split cell.
@@ -190,20 +211,30 @@ class CompressedQuadtree:
                 else self.bounding_cube.smallest_enclosing_cell(list(root.points))
             )
             if new_split == old_split:
-                self._insert_into(child, child.cube, p)
+                self._insert_into(child, child.cube, p, change)
             elif new_split == self.bounding_cube:
                 # The split cell grew all the way up: the root now splits.
                 root.children = []
-                self._attach(root, self.bounding_cube, child, p, list(root.points))
+                self._attach(root, self.bounding_cube, child, p, list(root.points), change)
             else:
                 carrier = QuadtreeCell(cube=new_split, points=tuple(root.points))
                 carrier.parent = root
                 root.children = [carrier]
-                self._attach(carrier, new_split, child, p, list(root.points))
-            return
-        self._insert_into_children(root, self.bounding_cube, p)
+                self._attach(carrier, new_split, child, p, list(root.points), change)
+            return change
+        self._insert_into_children(root, self.bounding_cube, p, change)
+        return change
 
-    def _insert_into(self, cell: QuadtreeCell, slot_cube: HyperCube, p: Point) -> None:
+    def _rebuild_all(self) -> TreeChange:
+        """Replace the whole tree by the canonical build over ``self._points``."""
+        old_root = self.root
+        self.root = self._build(self.bounding_cube, list(self._points), is_root=True)
+        self.root.parent = None
+        return TreeChange(changed=list(self.cells()), detached=[old_root])
+
+    def _insert_into(
+        self, cell: QuadtreeCell, slot_cube: HyperCube, p: Point, change: TreeChange
+    ) -> None:
         """Insert ``p`` into the subtree that ``_build(slot_cube, ...)`` made."""
         if cell.is_leaf:
             # The leaf keeps its slot cube; splitting it forms the smallest
@@ -214,13 +245,14 @@ class CompressedQuadtree:
             i_old = self._child_index(new_cube, old_point)
             i_new = self._child_index(new_cube, p)
             if i_old == i_new:
-                self._replace_subtree(cell, self._build(slot_cube, merged))
+                self._replace_subtree(cell, self._build(slot_cube, merged), change)
                 return
             cell.cube = new_cube
             cell.points = tuple(merged)
             first = QuadtreeCell(cube=new_cube.child(i_old), points=(old_point,), parent=cell)
             second = QuadtreeCell(cube=new_cube.child(i_new), points=(p,), parent=cell)
             cell.children = [first, second] if i_old < i_new else [second, first]
+            change.changed.append(cell)
             return
         # A point strictly inside the cell's (shrunk) cube leaves the
         # enclosing-cell walk unchanged, so the cube survives as is; only
@@ -232,22 +264,23 @@ class CompressedQuadtree:
         )
         if new_cube == cell.cube:
             cell.points = cell.points + (p,)
-            self._insert_into_children(cell, cell.cube, p)
+            self._insert_into_children(cell, cell.cube, p, change)
             return
         # Compression boundary moved: hang the untouched old subtree and a
         # fresh leaf under a new split cell in the old slot.
         carrier = QuadtreeCell(cube=new_cube, points=cell.points + (p,), parent=cell.parent)
-        self._replace_subtree(cell, carrier, reparent=False)
-        self._attach(carrier, new_cube, cell, p, list(carrier.points))
+        parent = cell.parent
+        parent.children[parent.children.index(cell)] = carrier
+        self._attach(carrier, new_cube, cell, p, list(carrier.points), change)
 
     def _insert_into_children(
-        self, cell: QuadtreeCell, split_cube: HyperCube, p: Point
+        self, cell: QuadtreeCell, split_cube: HyperCube, p: Point, change: TreeChange
     ) -> None:
         """Route ``p`` to (or create) the child slot of an uncompressed cell."""
         index = self._child_index(split_cube, p)
         for child in cell.children:
             if self._child_index(split_cube, child.points[0]) == index:
-                self._insert_into(child, split_cube.child(index), p)
+                self._insert_into(child, split_cube.child(index), p, change)
                 return
         leaf = QuadtreeCell(cube=split_cube.child(index), points=(p,), parent=cell)
         position = len(cell.children)
@@ -256,6 +289,7 @@ class CompressedQuadtree:
                 position = slot
                 break
         cell.children.insert(position, leaf)
+        change.changed.append(leaf)
 
     def _attach(
         self,
@@ -264,6 +298,7 @@ class CompressedQuadtree:
         old_cell: QuadtreeCell,
         p: Point,
         all_points: list[Point],
+        change: TreeChange,
     ) -> None:
         """Give ``carrier`` the old subtree plus a leaf for ``p`` as children."""
         i_old = self._child_index(split_cube, old_cell.points[0])
@@ -277,21 +312,100 @@ class CompressedQuadtree:
             carrier.children = rebuilt.children
             for child in carrier.children:
                 child.parent = carrier
+            change.detached.append(old_cell)
+            change.changed.extend(self.cells(carrier))
             return
         leaf = QuadtreeCell(cube=split_cube.child(i_new), points=(p,), parent=carrier)
         old_cell.parent = carrier
         carrier.children = [old_cell, leaf] if i_old < i_new else [leaf, old_cell]
+        change.changed.append(carrier)
 
-    def _replace_subtree(
-        self, old: QuadtreeCell, new: QuadtreeCell, reparent: bool = True
-    ) -> None:
-        """Swap ``old`` for ``new`` in the parent's child list (same position)."""
+    def _replace_subtree(self, old: QuadtreeCell, new: QuadtreeCell, change: TreeChange) -> None:
+        """Swap the subtree at ``old`` for the freshly built ``new`` (same position)."""
         parent = old.parent
         if parent is None:  # pragma: no cover - the root is never replaced here
             raise StructureError("cannot replace the root cell")
-        if reparent:
-            new.parent = parent
+        new.parent = parent
         parent.children[parent.children.index(old)] = new
+        change.detached.append(old)
+        change.changed.extend(self.cells(new))
+
+    # ------------------------------------------------------------------ #
+    # incremental removal (canonical: identical to a full rebuild)
+    # ------------------------------------------------------------------ #
+    def remove_point(self, point: Point) -> TreeChange:
+        """Remove one point in place, producing exactly the rebuilt tree.
+
+        The mirror of :meth:`insert_point`: ancestors drop the point from
+        their ``points`` tuples, the point's leaf goes, and a parent left
+        with a single child un-splits — into a leaf filling its slot when
+        one point remains, or by handing its place to the surviving child
+        subtree, whose own (already compressed) cell is exactly the cell
+        a rebuild would shrink to.  No ancestor's cell moves, because each
+        keeps at least two occupied child slots.  That reasoning needs
+        half-open cells to contain their points, so where a far-face point
+        of the bounding cube is involved the tree is rebuilt through
+        :meth:`_build` instead.
+        """
+        p = as_point(point)
+        if p not in self._point_set:
+            raise StructureError(f"point {p} is not stored")
+        if len(self._points) == 1:
+            raise StructureError("cannot remove the last point of a quadtree")
+        self._points = _without(self._points, self._points.index(p))
+        self._point_set.remove(p)
+        if p in self._far_face:
+            # A far-face point can be what stopped an ancestor's compression.
+            self._far_face.remove(p)
+            return self._rebuild_all()
+
+        change = TreeChange()
+        parent = self.root
+        while True:
+            position = parent.points.index(p)
+            parent.points = _without(parent.points, position)
+            leaf = next(child for child in parent.children if child.cube.contains(p))
+            if leaf.is_leaf:
+                break
+            if position == 0:
+                change.changed.append(parent)  # its representative point moved on
+            parent = leaf
+        siblings = [child for child in parent.children if child is not leaf]
+        if len(siblings) >= 2:
+            parent.children = siblings
+            change.detached.append(leaf)
+            change.changed.append(parent)
+            return change
+
+        # ``parent`` un-splits around its one remaining child.
+        if any(parent.cube.contains_closed(far) for far in self._far_face):
+            return self._rebuild_all()
+        survivor = siblings[0]
+        root = self.root
+        above = parent.parent
+        # The split cell of a compressed root has no slot of its own: what
+        # is left of it folds into, or hangs directly off, the root.
+        at_root = above is None or (above is root and len(root.children) == 1)
+        if survivor.is_leaf and at_root:
+            change.detached.extend(root.children)
+            root.children = []
+            change.changed.append(root)
+        elif survivor.is_leaf:
+            change.detached.extend(parent.children)
+            parent.children = []
+            parent.cube = above.cube.child(self._child_index(above.cube, survivor.points[0]))
+            change.changed.append(parent)
+        elif above is None:
+            root.children = [survivor]
+            change.detached.append(leaf)
+            change.changed.append(root)
+        else:
+            above.children[above.children.index(parent)] = survivor
+            survivor.parent = above
+            parent.children = [leaf]
+            change.detached.append(parent)
+            change.changed.append(survivor)
+        return change
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -300,9 +414,9 @@ class CompressedQuadtree:
     def points(self) -> tuple[Point, ...]:
         return self._points
 
-    def cells(self) -> Iterator[QuadtreeCell]:
-        """Pre-order iteration over all cells."""
-        stack = [self.root]
+    def cells(self, start: QuadtreeCell | None = None) -> Iterator[QuadtreeCell]:
+        """Pre-order iteration over all cells (of the subtree at ``start``, if given)."""
+        stack = [self.root if start is None else start]
         while stack:
             cell = stack.pop()
             yield cell

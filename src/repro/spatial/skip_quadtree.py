@@ -16,12 +16,13 @@ that the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-from repro.core.link_structure import RangeDeterminedLinkStructure, RangeUnit, UnitKind
+from repro.core.link_structure import RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
 from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
+from repro.core.tree_structure import TreeLinkStructure
 from repro.core.update import UpdateResult
 from repro.errors import QueryError, StructureError
 from repro.net.congestion import CongestionReport
@@ -66,7 +67,7 @@ def _link_key(child_cube: HyperCube) -> Hashable:
     return ("qlink", _cube_key(child_cube))
 
 
-class QuadtreeStructure(RangeDeterminedLinkStructure):
+class QuadtreeStructure(TreeLinkStructure):
     """A compressed quadtree viewed as a range-determined link structure.
 
     Construction parameters (shared by every level of a skip-web):
@@ -79,19 +80,10 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
 
     name = "compressed-quadtree"
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        bounding_cube: HyperCube,
-        _tree: CompressedQuadtree | None = None,
-    ) -> None:
+    def __init__(self, points: Sequence[Point], bounding_cube: HyperCube) -> None:
         self._bounding_cube = bounding_cube
-        self.tree = CompressedQuadtree(points, bounding_cube) if _tree is None else _tree
-        self._units: list[RangeUnit] = []
-        self._units_by_key: dict[Hashable, RangeUnit] = {}
-        self._adjacency: dict[Hashable, list[Hashable]] = {}
-        self._cell_by_key: dict[Hashable, QuadtreeCell] = {}
-        self._collect_units()
+        self.tree = CompressedQuadtree(points, bounding_cube)
+        super().__init__()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -108,95 +100,51 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
     def build_params(self) -> dict[str, Any]:
         return {"bounding_cube": self._bounding_cube}
 
-    def with_item(self, item: Any) -> "QuadtreeStructure":
+    def with_item(self, item: Any) -> StructureDelta:
         """``D(S ∪ {x})`` via an in-place canonical tree insert.
 
         Compressed quadtrees are canonical in their point set (the
         bounding cube is fixed across skip-web levels), so
         :meth:`repro.spatial.quadtree.CompressedQuadtree.insert_point`
-        yields exactly the tree a rebuild over the enlarged set would.
-        This instance keeps its unit snapshot for the §4 diff (its lists
-        and indexes below are never mutated); the returned structure
-        shares the mutated tree and re-collects its units from it.
+        yields exactly the tree a rebuild over the enlarged set would,
+        and only the units of the cells it touched are derived again.
         """
-        self.tree.insert_point(as_point(item))
-        return QuadtreeStructure((), self._bounding_cube, _tree=self.tree)
+        return self._resync(self.tree.insert_point(as_point(item)))
 
-    def _collect_units(self) -> None:
-        """Derive units, indexes and adjacency from the tree, in tree order.
+    def without_item(self, item: Any) -> StructureDelta:
+        """``D(S \\ {x})`` via an in-place canonical tree removal."""
+        point = as_point(item)
+        if self.tree.points == (point,):
+            return self._emptied()
+        return self._resync(self.tree.remove_point(point))
 
-        Unit keys and the units themselves are cached *on the cells*
-        (``QuadtreeCell.ukeys`` / ``nunit`` / ``lunit``) so that repeated
-        collections over a shared, incrementally-mutated tree (the
-        :meth:`with_item` path) rebuild only what actually changed: a
-        cached key survives while the cell's cube object is unchanged,
-        and a cached unit is reused only when its range and payload
-        objects *are* the current tree's objects, which makes the reused
-        unit field-for-field equal to the one a fresh build would make.
-        """
-        cells = list(self.tree.cells())
-        units = self._units
-        units_append = units.append
-        units_by_key = self._units_by_key
-        adjacency = self._adjacency
-        cell_by_key = self._cell_by_key
-        for cell in cells:
-            cube = cell.cube
-            cached = cell.ukeys
-            if cached is None or cached[0] is not cube:
-                base = (cube.lower, cube.side)
-                cached = cell.ukeys = (cube, ("qnode", base), ("qlink", base))
-            node_key = cached[1]
-            # A representative stored point, used by owner blocking to
-            # place the record on the host that owns one of the cell's
-            # points (the analogue of a skip graph tower's home host).
-            points = cell.points
-            payload = points[0] if points else None
-            unit = cell.nunit
-            if unit is None or unit.range is not cube or unit.payload is not payload:
-                unit = cell.nunit = RangeUnit(
-                    key=node_key, kind=UnitKind.NODE, range=cube, payload=payload
-                )
-            units_append(unit)
-            units_by_key[node_key] = unit
-            adjacency[node_key] = []
-            cell_by_key[node_key] = cell
-        for cell in cells:
-            children = cell.children
-            if not children:
-                continue
-            parent_key = cell.ukeys[1]
-            points = cell.points
-            parent_payload = points[0] if points else None
-            parent_adjacency = adjacency[parent_key]
-            for child in children:
-                child_cached = child.ukeys  # filled by the node pass above
-                child_cube = child_cached[0]
-                link_key = child_cached[2]
-                child_points = child.points
-                child_payload = child_points[0] if child_points else None
-                unit = child.lunit
-                if (
-                    unit is None
-                    or unit.range is not child_cube
-                    or unit.payload[0] is not child_payload
-                    or unit.payload[1] is not parent_payload
-                ):
-                    unit = child.lunit = RangeUnit(
-                        key=link_key,
-                        kind=UnitKind.LINK,
-                        range=child_cube,
-                        payload=(child_payload, parent_payload),
-                    )
-                units_append(unit)
-                units_by_key[link_key] = unit
-                cell_by_key[link_key] = child
-                child_key = child_cached[1]
-                adjacency[link_key] = [parent_key, child_key]
-                parent_adjacency.append(link_key)
-                adjacency[child_key].append(link_key)
-        if len(units_by_key) != len(units):
-            raise StructureError("duplicate quadtree unit key in collection")
+    # ------------------------------------------------------------------ #
+    # TreeLinkStructure contract
+    # ------------------------------------------------------------------ #
+    def _preorder(self) -> Iterable[QuadtreeCell]:
+        return self.tree.cells()
+
+    @staticmethod
+    def _children(cell: QuadtreeCell) -> list[QuadtreeCell]:
+        return cell.children
+
+    # Payloads name a representative stored point, used by owner blocking
+    # to place the record on the host that owns one of the cell's points
+    # (the analogue of a skip graph tower's home host).
+    def _node_unit(self, cell: QuadtreeCell) -> RangeUnit:
+        cube = cell.cube
+        return RangeUnit(
+            key=_node_key(cube), kind=UnitKind.NODE, range=cube, payload=cell.points[0]
+        )
+
+    def _link_unit(self, cell: QuadtreeCell) -> RangeUnit:
+        cube = cell.cube
+        return RangeUnit(
+            key=_link_key(cube),
+            kind=UnitKind.LINK,
+            range=cube,
+            payload=(cell.points[0], cell.parent.points[0]),
+        )
 
     # ------------------------------------------------------------------ #
     # RangeDeterminedLinkStructure interface
@@ -204,28 +152,6 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
     @property
     def items(self) -> Sequence[Point]:
         return list(self.tree.points)
-
-    def units(self) -> list[RangeUnit]:
-        return list(self._units)
-
-    def unit(self, key: Hashable) -> RangeUnit:
-        try:
-            return self._units_by_key[key]
-        except KeyError as exc:
-            raise StructureError(f"quadtree: no unit with key {key!r}") from exc
-
-    def unit_map(self) -> Mapping[Hashable, RangeUnit]:
-        return self._units_by_key
-
-    def keys(self) -> set[Hashable]:
-        return set(self._units_by_key)
-
-    def neighbors(self, key: Hashable) -> list[RangeUnit]:
-        try:
-            neighbor_keys = self._adjacency[key]
-        except KeyError as exc:
-            raise StructureError(f"quadtree: no unit with key {key!r}") from exc
-        return [self._units_by_key[neighbor] for neighbor in neighbor_keys]
 
     def overlapping(self, query_range: Range) -> list[RangeUnit]:
         """Units whose cell intersects ``query_range`` — a pruned tree walk.
@@ -238,19 +164,10 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
         if cube is None:
             return super().overlapping(query_range)
         result: list[RangeUnit] = []
-        units_by_key = self._units_by_key
         for cell in self.tree.cells_intersecting(cube):
-            # The unit keys cached on the cell by collection (they depend
-            # only on the cell's cube, which is stable while it is live).
-            cached = cell.ukeys
-            if cached is None or cached[0] is not cell.cube:
-                result.append(units_by_key[_node_key(cell.cube)])
-                if cell.parent is not None:
-                    result.append(units_by_key[_link_key(cell.cube)])
-            else:
-                result.append(units_by_key[cached[1]])
-                if cell.parent is not None:
-                    result.append(units_by_key[cached[2]])
+            result.append(cell.nunit)
+            if cell.parent is not None:
+                result.append(cell.lunit)
         return result
 
     def conflicts(self, query_range: Range) -> list[RangeUnit]:
@@ -290,17 +207,9 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
                     current = child
                     descending = True
                     break
-        units_by_key = self._units_by_key
-        cached = current.ukeys
-        if cached is None or cached[0] is not current.cube:
-            result = [units_by_key[_node_key(current.cube)]]
-            if current.parent is not None:
-                result.append(units_by_key[_link_key(current.cube)])
-        else:
-            result = [units_by_key[cached[1]]]
-            if current.parent is not None:
-                result.append(units_by_key[cached[2]])
-        return result
+        if current.parent is None:
+            return [current.nunit]
+        return [current.nunit, current.lunit]
 
     # ------------------------------------------------------------------ #
     # range reporting
@@ -331,22 +240,21 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
                 continue
             if cell.is_leaf:
                 if any(query_range.contains(point) for point in cell.points):
-                    result.append(self._units_by_key[_node_key(cell.cube)])
+                    result.append(cell.nunit)
             else:
                 stack.extend(reversed(cell.children))
         return result
 
     def report_values(self, query_range: Range, unit: RangeUnit) -> list[Any]:
         """The stored points of the visited cell that lie in the range."""
-        cell = self._cell_by_key.get(unit.key)
+        cell = self._node_by_key.get(unit.key)
         if cell is None:
             return []
         return [point for point in cell.points if query_range.contains(point)]
 
     def locate(self, query: Any) -> RangeUnit:
         """The smallest quadtree cell containing the query point."""
-        cell = self.tree.locate(as_point(query))
-        return self._units_by_key[_node_key(cell.cube)]
+        return self.tree.locate(as_point(query)).nunit
 
     @classmethod
     def select(cls, query: Any, candidates: Sequence[RangeUnit]) -> RangeUnit:
@@ -412,7 +320,7 @@ class QuadtreeStructure(RangeDeterminedLinkStructure):
 
     def answer(self, query: Any, unit: RangeUnit) -> PointLocationAnswer:
         point = as_point(query)
-        cell = self._cell_by_key.get(unit.key)
+        cell = self._node_by_key.get(unit.key)
         if cell is None:
             raise QueryError(f"cannot decode answer for unit {unit.key!r}")
         nearest = None

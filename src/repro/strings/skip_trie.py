@@ -20,14 +20,14 @@ search — in ``O(log n)`` expected messages even when the trie has depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-from repro.core.link_structure import RangeDeterminedLinkStructure, RangeUnit, UnitKind
+from repro.core.link_structure import RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
 from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
+from repro.core.tree_structure import TreeChange, TreeLinkStructure
 from repro.core.update import UpdateResult
-from repro.errors import StructureError
 from repro.net.congestion import CongestionReport
 from repro.net.naming import HostId
 from repro.net.network import Network
@@ -130,7 +130,7 @@ def _link_key(child_prefix: str) -> Hashable:
     return ("slink", child_prefix)
 
 
-class TrieStructure(RangeDeterminedLinkStructure):
+class TrieStructure(TreeLinkStructure):
     """A compressed trie viewed as a range-determined link structure.
 
     Construction parameter (shared across skip-web levels):
@@ -141,19 +141,10 @@ class TrieStructure(RangeDeterminedLinkStructure):
 
     name = "compressed-trie"
 
-    def __init__(
-        self,
-        strings: Sequence[str],
-        alphabet: Alphabet,
-        _trie: CompressedTrie | None = None,
-    ) -> None:
+    def __init__(self, strings: Sequence[str], alphabet: Alphabet) -> None:
         self._alphabet = alphabet
-        self.trie = CompressedTrie(strings, alphabet) if _trie is None else _trie
-        self._units: list[RangeUnit] = []
-        self._units_by_key: dict[Hashable, RangeUnit] = {}
-        self._adjacency: dict[Hashable, list[Hashable]] = {}
-        self._node_by_key: dict[Hashable, TrieNode] = {}
-        self._collect_units()
+        self.trie = CompressedTrie(strings, alphabet)
+        super().__init__()
 
     @classmethod
     def build(cls, items: Sequence[Any], **params: Any) -> "TrieStructure":
@@ -163,131 +154,86 @@ class TrieStructure(RangeDeterminedLinkStructure):
     def build_params(self) -> dict[str, Any]:
         return {"alphabet": self._alphabet}
 
-    def with_item(self, item: Any) -> "TrieStructure":
+    def with_item(self, item: Any) -> StructureDelta:
         """``D(S ∪ {x})`` via an in-place canonical trie insert.
 
         Compressed tries are canonical in their string set, so
         :meth:`repro.strings.trie.CompressedTrie.insert` yields exactly
         the trie a rebuild over the enlarged set would (same nodes, same
-        child order) — only the O(depth) insertion path is touched
-        instead of re-deriving every node.  This instance keeps its unit
-        snapshot (the lists below are never mutated), which is what the
-        §4 update protocol diffs against; the returned structure shares
-        the mutated trie and re-collects its units from it.
+        child order), and only the units of the nodes it touched — and of
+        the ancestors they represent — are derived again.
         """
-        self.trie.insert(str(item))
-        return TrieStructure((), self._alphabet, _trie=self.trie)
+        return self._resync(self._with_represented(self.trie.insert(str(item))))
+
+    def without_item(self, item: Any) -> StructureDelta:
+        """``D(S \\ {x})`` via an in-place canonical trie delete."""
+        text = str(item)
+        if self.trie.strings == (text,):
+            return self._emptied()
+        return self._resync(self._with_represented(self.trie.delete(text)))
 
     # ------------------------------------------------------------------ #
-    # unit collection
+    # TreeLinkStructure contract
     # ------------------------------------------------------------------ #
-    def _representative(self, node: TrieNode) -> str:
-        """A stored string below ``node`` (used by owner blocking)."""
+    def _preorder(self) -> Iterable[TrieNode]:
+        return self.trie.nodes()
+
+    @staticmethod
+    def _children(node: TrieNode) -> Iterable[TrieNode]:
+        return node.children.values()
+
+    @staticmethod
+    def _representative(node: TrieNode) -> str:
+        """A stored string below ``node`` (used by owner blocking).
+
+        Terminal nodes represent themselves; the others inherit their
+        first child's representative.
+        """
         current = node
         while not current.terminal:
             current = next(iter(current.children.values()))
         return current.prefix
 
-    def _representatives(self) -> dict[int, str]:
-        """Representative string per node (by id), in one bottom-up pass.
+    @staticmethod
+    def _with_represented(change: TreeChange) -> TreeChange:
+        """Extend ``change`` by the ancestors whose representative it may move.
 
-        Equivalent to calling :meth:`_representative` on every node —
-        terminal nodes represent themselves, internal nodes inherit their
-        first child's representative — but O(n) total instead of
-        O(n · depth).
+        A node's representative is read through its chain of first
+        children, so a changed node affects every ancestor reached by
+        climbing while it is a non-terminal parent's first child.
         """
-        reps: dict[int, str] = {}
-        stack: list[tuple[TrieNode, bool]] = [(self.trie.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded or node.is_leaf:
-                if node.terminal:
-                    reps[id(node)] = node.prefix
-                else:
-                    first = next(iter(node.children.values()))
-                    reps[id(node)] = reps[id(first)]
-                continue
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.children.values())
-        return reps
+        for node in list(change.changed):
+            parent = node.parent
+            while (
+                parent is not None
+                and not parent.terminal
+                and next(iter(parent.children.values())) is node
+            ):
+                change.changed.append(parent)
+                node, parent = parent, parent.parent
+        return change
 
-    def _collect_units(self) -> None:
-        """Derive units, indexes and adjacency from the trie, in trie order.
+    def _node_unit(self, node: TrieNode) -> RangeUnit:
+        prefix = node.prefix
+        return RangeUnit(
+            key=_node_key(prefix),
+            kind=UnitKind.NODE,
+            range=TrieRange(low=len(prefix) - 1, high=prefix),
+            payload=self._representative(node),
+        )
 
-        Unit keys and the units themselves are cached *on the nodes*
-        (``TrieNode.ukeys`` / ``nunit`` / ``lunit``) so that repeated
-        collections over a shared, incrementally-mutated trie (the
-        :meth:`with_item` path) rebuild only what actually changed: keys
-        survive for a node's lifetime (prefixes are construction-only),
-        and a cached unit is reused only when its key and payload objects
-        (and for links the parent-depth bound) match the current trie's,
-        making it field-for-field equal to a freshly built unit.
-        """
-        reps = self._representatives()
-        nodes = list(self.trie.nodes())
-        units = self._units
-        units_append = units.append
-        units_by_key = self._units_by_key
-        adjacency = self._adjacency
-        node_by_key = self._node_by_key
-        for node in nodes:
-            cached = node.ukeys
-            if cached is None:
-                prefix = node.prefix
-                cached = node.ukeys = (prefix, ("snode", prefix), ("slink", prefix))
-            node_key = cached[1]
-            rep = reps[id(node)]
-            unit = node.nunit
-            if unit is None or unit.payload is not rep:
-                prefix = cached[0]
-                unit = node.nunit = RangeUnit(
-                    key=node_key,
-                    kind=UnitKind.NODE,
-                    range=TrieRange(low=len(prefix) - 1, high=prefix),
-                    payload=rep,
-                )
-            units_append(unit)
-            units_by_key[node_key] = unit
-            adjacency[node_key] = []
-            node_by_key[node_key] = node
-        for node in nodes:
-            children = node.children
-            if not children:
-                continue
-            parent_key = node.ukeys[1]
-            parent_low = len(node.prefix) - 1
-            parent_rep = reps[id(node)]
-            parent_adjacency = adjacency[parent_key]
-            for child in children.values():
-                child_cached = child.ukeys  # filled by the node pass above
-                link_key = child_cached[2]
-                # §2.1: the edge range is the set of strings x·y where y is
-                # a *possibly empty* prefix of the edge label, so it also
-                # contains the parent node's own string — hence ``low`` is
-                # one less than the parent's depth.
-                child_rep = reps[id(child)]
-                unit = child.lunit
-                if (
-                    unit is None
-                    or unit.range.low != parent_low
-                    or unit.payload[0] is not child_rep
-                    or unit.payload[1] is not parent_rep
-                ):
-                    unit = child.lunit = RangeUnit(
-                        key=link_key,
-                        kind=UnitKind.LINK,
-                        range=TrieRange(low=parent_low, high=child_cached[0]),
-                        payload=(child_rep, parent_rep),
-                    )
-                units_append(unit)
-                units_by_key[link_key] = unit
-                node_by_key[link_key] = child
-                child_key = child_cached[1]
-                adjacency[link_key] = [parent_key, child_key]
-                parent_adjacency.append(link_key)
-                adjacency[child_key].append(link_key)
-        if len(units_by_key) != len(units):
-            raise StructureError("duplicate trie unit key in collection")
+    def _link_unit(self, node: TrieNode) -> RangeUnit:
+        # §2.1: the edge range is the set of strings x·y where y is a
+        # *possibly empty* prefix of the edge label, so it also contains
+        # the parent node's own string — hence ``low`` is one less than
+        # the parent's depth.
+        parent = node.parent
+        return RangeUnit(
+            key=_link_key(node.prefix),
+            kind=UnitKind.LINK,
+            range=TrieRange(low=len(parent.prefix) - 1, high=node.prefix),
+            payload=(node.nunit.payload, parent.nunit.payload),
+        )
 
     # ------------------------------------------------------------------ #
     # RangeDeterminedLinkStructure interface
@@ -295,28 +241,6 @@ class TrieStructure(RangeDeterminedLinkStructure):
     @property
     def items(self) -> Sequence[str]:
         return list(self.trie.strings)
-
-    def units(self) -> list[RangeUnit]:
-        return list(self._units)
-
-    def unit(self, key: Hashable) -> RangeUnit:
-        try:
-            return self._units_by_key[key]
-        except KeyError as exc:
-            raise StructureError(f"trie: no unit with key {key!r}") from exc
-
-    def unit_map(self) -> Mapping[Hashable, RangeUnit]:
-        return self._units_by_key
-
-    def keys(self) -> set[Hashable]:
-        return set(self._units_by_key)
-
-    def neighbors(self, key: Hashable) -> list[RangeUnit]:
-        try:
-            neighbor_keys = self._adjacency[key]
-        except KeyError as exc:
-            raise StructureError(f"trie: no unit with key {key!r}") from exc
-        return [self._units_by_key[neighbor] for neighbor in neighbor_keys]
 
     def overlapping(self, query_range: Range) -> list[RangeUnit]:
         """Units whose prefix run intersects ``query_range`` — a path walk.
@@ -335,24 +259,11 @@ class TrieStructure(RangeDeterminedLinkStructure):
         while current is not None:
             path.append(current)
             current = current.parent
-        units_by_key = self._units_by_key
         for path_node in reversed(path):
-            # The unit keys cached on the node by collection (they depend
-            # only on the node's immutable prefix).
-            cached = path_node.ukeys
-            if cached is None:
-                prefix = path_node.prefix
-                node_unit = units_by_key[_node_key(prefix)]
-                link_key = _link_key(prefix)
-            else:
-                node_unit = units_by_key[cached[1]]
-                link_key = cached[2]
-            if node_unit.range.intersects(query_range):
-                result.append(node_unit)
-            if path_node.parent is not None:
-                link_unit = units_by_key[link_key]
-                if link_unit.range.intersects(query_range):
-                    result.append(link_unit)
+            if path_node.nunit.range.intersects(query_range):
+                result.append(path_node.nunit)
+            if path_node.parent is not None and path_node.lunit.range.intersects(query_range):
+                result.append(path_node.lunit)
         return result
 
     # ------------------------------------------------------------------ #
@@ -384,9 +295,9 @@ class TrieStructure(RangeDeterminedLinkStructure):
         text = str(query)
         node, matched = self.trie.locate(text)
         if matched == node.depth or node.parent is None:
-            return self._units_by_key[_node_key(node.prefix)]
+            return node.nunit
         # The match ends inside the edge leading to ``node``.
-        return self._units_by_key[_link_key(node.prefix)]
+        return node.lunit
 
     @classmethod
     def select(cls, query: Any, candidates: Sequence[RangeUnit]) -> RangeUnit:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.core.bulkload import is_strictly_increasing
+from repro.core.tree_structure import TreeChange
 from repro.errors import StructureError
 from repro.strings.alphabet import Alphabet
 
@@ -38,10 +39,8 @@ class TrieNode:
     terminal: bool = False
     children: dict[str, "TrieNode"] = field(default_factory=dict)
     parent: "TrieNode | None" = None
-    # Unit-collection caches (see skip_trie.TrieStructure): ``ukeys`` is
-    # ``(prefix, node_key, link_key)``; ``nunit`` / ``lunit`` are the last
-    # node / link RangeUnits built for this node, revalidated by identity.
-    ukeys: "tuple | None" = field(default=None, repr=False, compare=False)
+    # The node / link-to-parent RangeUnits this node is indexed under;
+    # owned by skip_trie.TrieStructure (see TreeLinkStructure).
     nunit: "object | None" = field(default=None, repr=False, compare=False)
     lunit: "object | None" = field(default=None, repr=False, compare=False)
 
@@ -155,9 +154,19 @@ class CompressedTrie:
             self._build(child, remaining)
 
     # ------------------------------------------------------------------ #
-    # incremental insertion (canonical: identical to a full rebuild)
+    # in-place updates (canonical: identical to a full rebuild)
     # ------------------------------------------------------------------ #
-    def insert(self, value: str) -> None:
+    def _position_of(self, value: str) -> tuple[int, tuple[int, ...]]:
+        """Where ``value`` sorts among the stored strings, and its sort key."""
+        if self._sort_keys is None:
+            # Built lazily on the first update, then maintained in step
+            # with ``_strings`` so later updates bisect instead of
+            # recomputing every string's sort key.
+            self._sort_keys = [self.alphabet.sort_key(value_) for value_ in self._strings]
+        value_key = self.alphabet.sort_key(value)
+        return bisect_left(self._sort_keys, value_key), value_key
+
+    def insert(self, value: str) -> TreeChange:
         """Add ``value`` in place, producing exactly the rebuilt trie.
 
         Compressed tries are canonical in their string set, so the
@@ -171,40 +180,67 @@ class CompressedTrie:
         self.alphabet.validate_string(value)
         if value in self:
             raise StructureError(f"string {value!r} already stored")
-        if self._sort_keys is None:
-            # Built lazily on the first insert, then maintained in step
-            # with ``_strings`` so later inserts bisect instead of
-            # recomputing every string's sort key.
-            self._sort_keys = [self.alphabet.sort_key(value_) for value_ in self._strings]
-        value_key = self.alphabet.sort_key(value)
-        position = bisect_left(self._sort_keys, value_key)
+        position, value_key = self._position_of(value)
         self._sort_keys.insert(position, value_key)
         self._strings = self._strings[:position] + (value,) + self._strings[position:]
         if value == "":
             self.root.terminal = True
-            return
+            return TreeChange(changed=[self.root])
         node, matched = self.locate(value)
         if matched == len(value):
-            if matched == node.depth:
-                # The node already exists (it was a branching point).
-                node.terminal = True
-                return
-            # ``value`` ends inside the edge leading to ``node``: split it.
-            self._split_edge(node, matched).terminal = True
-            return
-        if matched == node.depth:
-            # No child matches the next character: attach a fresh leaf.
-            leaf = TrieNode(prefix=value, terminal=True, parent=node)
-            self._node_by_prefix[value] = leaf
-            node.children[value[matched]] = leaf
-            self._sort_children(node)
-            return
-        # Mismatch inside the edge leading to ``node``: split, then attach.
-        mid = self._split_edge(node, matched)
-        leaf = TrieNode(prefix=value, terminal=True, parent=mid)
+            if matched != node.depth:
+                # ``value`` ends inside the edge leading to ``node``: split it.
+                node = self._split_edge(node, matched)
+            # else the node already exists (it was a branching point).
+            node.terminal = True
+            return TreeChange(changed=[node])
+        if matched != node.depth:
+            # Mismatch inside the edge leading to ``node``: split, then attach.
+            node = self._split_edge(node, matched)
+        # No child of ``node`` matches the next character: attach a fresh leaf.
+        leaf = TrieNode(prefix=value, terminal=True, parent=node)
         self._node_by_prefix[value] = leaf
-        mid.children[value[matched]] = leaf
-        self._sort_children(mid)
+        node.children[value[matched]] = leaf
+        self._sort_children(node)
+        return TreeChange(changed=[node, leaf])
+
+    def delete(self, value: str) -> TreeChange:
+        """Remove ``value`` in place, producing exactly the rebuilt trie.
+
+        The mirror of :meth:`insert`: the string's node stops being
+        terminal; if that leaves a leaf it is dropped, and a non-root,
+        non-terminal node left with a single child is merged into the
+        edge above it.  Nothing higher changes shape, because the parent
+        of a merged node keeps its child count.
+        """
+        if value not in self:
+            raise StructureError(f"string {value!r} is not stored")
+        if len(self._strings) == 1:
+            raise StructureError("cannot delete the last string of a trie")
+        position, _value_key = self._position_of(value)
+        del self._sort_keys[position]
+        self._strings = self._strings[:position] + self._strings[position + 1 :]
+        node = self._node_by_prefix[value]
+        node.terminal = False
+        change = TreeChange()
+        if node.is_leaf:
+            parent = node.parent
+            del parent.children[value[parent.depth]]
+            del self._node_by_prefix[value]
+            change.detached.append(node)
+            node = parent
+        if node.parent is not None and not node.terminal and len(node.children) == 1:
+            # Merge ``node`` away: its only child hangs off its parent.
+            parent = node.parent
+            (child,) = node.children.values()
+            parent.children[node.prefix[parent.depth]] = child
+            child.parent = parent
+            del self._node_by_prefix[node.prefix]
+            node.children = {}
+            change.detached.append(node)
+            node = child
+        change.changed.append(node)
+        return change
 
     def _split_edge(self, node: TrieNode, depth: int) -> TrieNode:
         """Insert a node at string depth ``depth`` on the edge into ``node``."""

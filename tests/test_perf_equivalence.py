@@ -9,8 +9,12 @@ These tests pin that contract:
   and ``trace=False`` (the ledger substrate);
 * ``build_from_sorted`` + k inserts charges exactly what the plain
   constructor + the same k inserts charges, for every structure family;
-* the incremental ``with_item`` fast paths produce structures
-  bit-identical to a from-scratch rebuild (units, order, adjacency);
+* the in-place ``with_item`` / ``without_item`` updates produce
+  structures bit-identical to a from-scratch rebuild (units, order,
+  adjacency), report exactly the units they added and removed, and touch
+  a number of units that does not grow with the level size;
+* façade delete costs for every updatable family equal the values pinned
+  before the in-place updates landed;
 * the network-level caches (alive hosts, round reports) change no
   observable number while bounding memory;
 * the sharded multi-worker executor (``Cluster(workers=N)``) produces
@@ -27,8 +31,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Cluster
+from repro.api.registry import structure_specs
 from repro.baselines import ChordDHT, SkipGraph
 from repro.engine.sharded import ShardedExecutor, fork_available
 from repro.bench.experiments import (
@@ -41,7 +47,10 @@ from repro.bench.experiments import (
 from repro.net.message import MessageKind
 from repro.net.network import Network, ledger_mode, tracing_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
+from repro.onedim import linked_list
 from repro.onedim.linked_list import SortedListStructure
+from repro.planar.segments import bounding_box
+from repro.planar.skip_trapezoid import TrapezoidalMapStructure
 from repro.spatial.geometry import HyperCube
 from repro.spatial.skip_quadtree import QuadtreeStructure, SkipQuadtreeWeb
 from repro.strings import DNA, LOWERCASE
@@ -167,74 +176,337 @@ class TestBulkLoadEquivalence:
         assert log.count(MessageKind.UPDATE) == 0
 
 
-class TestIncrementalStructureEquivalence:
-    """The ``with_item`` fast paths match a from-scratch rebuild exactly."""
+def _apply(current, kind, item):
+    """One in-place update; checks the reported delta against the unit maps."""
+    before = dict(current.unit_map())
+    delta = current.with_item(item) if kind == "insert" else current.without_item(item)
+    after = {} if delta.structure is None else delta.structure.unit_map()
+    assert {unit.key for unit in delta.added} == after.keys() - before.keys()
+    assert {unit.key for unit in delta.removed} == before.keys() - after.keys()
+    assert all(after[unit.key] is unit for unit in delta.added)
+    assert all(before[unit.key] is unit for unit in delta.removed)
+    return delta.structure
 
-    @staticmethod
-    def _assert_same(incremental, rebuilt):
-        left, right = incremental.units(), rebuilt.units()
-        assert [unit.key for unit in left] == [unit.key for unit in right]
-        assert left == right
-        assert list(incremental.items) == list(rebuilt.items)
-        for unit in left:
-            assert [n.key for n in incremental.neighbors(unit.key)] == [
-                n.key for n in rebuilt.neighbors(unit.key)
-            ]
+
+def _assert_same(incremental, rebuilt):
+    incremental.validate()
+    left, right = incremental.units(), rebuilt.units()
+    assert [unit.key for unit in left] == [unit.key for unit in right]
+    assert left == right
+    assert list(incremental.items) == list(rebuilt.items)
+    assert incremental.unit_map() == rebuilt.unit_map()
+    assert len(incremental) == len(rebuilt)
+    for unit in left:
+        assert [n.key for n in incremental.neighbors(unit.key)] == [
+            n.key for n in rebuilt.neighbors(unit.key)
+        ]
+
+
+def _replay(build, initial, operations, validate_tree=None):
+    """Apply ``operations`` in place, comparing with a rebuild after each."""
+    current = build(initial)
+    live = list(current.items)
+    for kind, item in operations:
+        current = _apply(current, kind, item)
+        if kind == "insert":
+            live.append(item)
+        else:
+            live.remove(item)
+        if not live:
+            assert current is None
+            return
+        if validate_tree is not None:
+            validate_tree(current)
+        _assert_same(current, build(live))
+
+
+class TestIncrementalStructureEquivalence:
+    """In-place ``with_item`` / ``without_item`` match a rebuild exactly."""
 
     def test_sorted_list(self):
         rng = random.Random(1)
         keys = sorted(set(float(key) for key in uniform_keys(24, seed=1)))
-        current = SortedListStructure(keys)
-        grown = list(keys)
-        for _ in range(8):
-            key = rng.uniform(-100.0, 2_000_000.0)
-            if key in grown:
-                continue
-            current = current.with_item(key)
-            grown.append(key)
-            self._assert_same(current, SortedListStructure(grown))
+        inserts = [("insert", rng.uniform(-100.0, 2_000_000.0)) for _ in range(8)]
+        _replay(SortedListStructure, keys, inserts)
+
+    def test_sorted_list_deletes(self):
+        keys = [float(key) for key in range(10, 20)]
+        # first key, last key, an inner key, then down to one key and out
+        order = [10.0, 19.0, 14.0, 11.0, 18.0, 15.0, 12.0, 17.0, 13.0, 16.0]
+        _replay(SortedListStructure, keys, [("delete", key) for key in order])
+
+    def test_sorted_list_interleaved(self):
+        rng = random.Random(5)
+        live = sorted(set(float(key) for key in uniform_keys(16, seed=5)))
+        operations, shadow = [], list(live)
+        for _ in range(60):
+            if shadow and rng.random() < 0.5:
+                operations.append(("delete", shadow.pop(rng.randrange(len(shadow)))))
+            else:
+                key = float(rng.randrange(-50, 1_000_050))
+                if key not in shadow:
+                    shadow.append(key)
+                    operations.append(("insert", key))
+        _replay(SortedListStructure, live, operations)
+
+    def test_sorted_list_rejects_absent_and_duplicate_items(self):
+        structure = SortedListStructure([1.0, 2.0])
+        with pytest.raises(Exception, match="not present"):
+            structure.without_item(3.0)
+        with pytest.raises(Exception, match="already present"):
+            structure.with_item(2.0)
+
+    @staticmethod
+    def _trie(alphabet):
+        return lambda strings: TrieStructure.build(strings, alphabet=alphabet)
+
+    @staticmethod
+    def _validate_trie(structure):
+        structure.trie.validate()
 
     def test_trie(self):
         for alphabet in (DNA, LOWERCASE):
             strings = random_strings(20, alphabet=alphabet, seed=2)
-            current = TrieStructure(strings, alphabet)
-            grown = list(current.items)
-            for value in random_strings(30, alphabet=alphabet, seed=77):
-                if value in grown:
-                    continue
-                current = current.with_item(value)
-                grown.append(value)
-                current.trie.validate()
-                self._assert_same(current, TrieStructure.build(grown, alphabet=alphabet))
+            fresh = [
+                value
+                for value in dict.fromkeys(random_strings(30, alphabet=alphabet, seed=77))
+                if value not in strings
+            ]
+            _replay(
+                self._trie(alphabet),
+                strings,
+                [("insert", value) for value in fresh],
+                self._validate_trie,
+            )
+
+    @pytest.mark.parametrize(
+        "alphabet, a, c", [(DNA, "A", "C"), (LOWERCASE, "a", "c")], ids=["dna", "lowercase"]
+    )
+    def test_trie_deletes(self, alphabet, a, c):
+        strings = ["", a, a + a, a + a + c, a + c + a, a + c + c, c + a + a, c + a + c]
+        operations = [
+            ("delete", a),  # a prefix of other strings: its node stays, non-terminal
+            ("delete", ""),  # the root stops being terminal
+            ("delete", a + c + a),  # a leaf whose parent then merges into its edge
+            ("delete", a + a),  # inner terminal with one child: merged away
+            ("delete", c + a + c),  # leaf under a two-leaf parent
+            ("insert", a + c + a),
+            ("delete", a + a + c),
+            ("delete", c + a + a),
+            ("delete", a + c + c),
+            ("delete", a + c + a),  # the last string
+        ]
+        _replay(self._trie(alphabet), strings, operations, self._validate_trie)
+
+    @staticmethod
+    def _quadtree(dimension):
+        cube = HyperCube(tuple(0.0 for _ in range(dimension)), 1.0)
+        return lambda points: QuadtreeStructure(points, cube)
+
+    @staticmethod
+    def _validate_quadtree(structure):
+        structure.tree.validate()
 
     def test_quadtree(self):
         rng = random.Random(3)
         for dimension in (2, 3):
-            cube = HyperCube(tuple(0.0 for _ in range(dimension)), 1.0)
             points = uniform_points(20, dimension=dimension, seed=3)
-            current = QuadtreeStructure(points, cube)
-            grown = list(current.items)
-            for _ in range(8):
-                point = tuple(rng.random() for _ in range(dimension))
-                if point in grown:
-                    continue
-                current = current.with_item(point)
-                grown.append(point)
-                current.tree.validate()
-                self._assert_same(current, QuadtreeStructure(grown, cube))
+            fresh = [tuple(rng.random() for _ in range(dimension)) for _ in range(8)]
+            _replay(
+                self._quadtree(dimension),
+                points,
+                [("insert", point) for point in fresh],
+                self._validate_quadtree,
+            )
 
     def test_quadtree_compression_moves(self):
         """Clustered points followed by far points move the split cell."""
         rng = random.Random(4)
-        cube = HyperCube((0.0, 0.0), 1.0)
         clustered = [(0.001 + rng.random() * 0.01, 0.001 + rng.random() * 0.01) for _ in range(12)]
-        current = QuadtreeStructure(clustered, cube)
-        grown = list(current.items)
-        for point in [(0.93, 0.91), (0.5, 0.5), (0.25, 0.7), (0.0078, 0.0055)]:
-            current = current.with_item(point)
-            grown.append(point)
-            current.tree.validate()
-            self._assert_same(current, QuadtreeStructure(grown, cube))
+        far = [(0.93, 0.91), (0.5, 0.5), (0.25, 0.7), (0.0078, 0.0055)]
+        operations = [("insert", point) for point in far]
+        # ... and taking them away again moves it back, cell by cell.
+        operations += [("delete", point) for point in far]
+        _replay(self._quadtree(2), clustered, operations, self._validate_quadtree)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_quadtree_deletes(self, dimension):
+        pad = (0.0,) * (dimension - 2)
+        # two tight pairs in opposite corners plus a loner in a third slot
+        pair_low = [(0.1, 0.1) + pad, (0.11, 0.12) + pad]
+        pair_high = [(0.9, 0.9) + pad, (0.91, 0.88) + pad]
+        loner = (0.9, 0.1) + pad
+        operations = [
+            ("delete", loner),  # empties a child slot of the root
+            ("delete", pair_high[0]),  # a split cell un-splits into a slot-filling leaf
+            ("delete", pair_high[1]),  # the root is left with one child: it compresses
+            ("insert", loner),
+            ("delete", pair_low[0]),
+            ("delete", pair_low[1]),  # down to a single point
+            ("delete", loner),  # ... and out
+        ]
+        _replay(
+            self._quadtree(dimension),
+            pair_low + pair_high + [loner],
+            operations,
+            self._validate_quadtree,
+        )
+
+    def test_quadtree_interleaved_with_far_face_points(self):
+        """Grid points sit on cell boundaries and on the cube's closed far faces."""
+        rng = random.Random(9)
+        live = [(0.0, 0.0), (1.0, 1.0), (0.5, 1.0)]
+        operations, shadow = [], list(live)
+        for _ in range(80):
+            if len(shadow) > 1 and rng.random() < 0.5:
+                operations.append(("delete", shadow.pop(rng.randrange(len(shadow)))))
+            else:
+                point = (rng.randrange(9) / 8, rng.randrange(9) / 8)
+                if point not in shadow:
+                    shadow.append(point)
+                    operations.append(("insert", point))
+        _replay(self._quadtree(2), live, operations)
+
+    def test_rebuild_default_reports_the_same_delta(self):
+        """``planar`` keeps the rebuild default: fresh structure, diffed delta."""
+        segments = non_crossing_segments(6, seed=3)
+        box = bounding_box(segments, margin=1.0)
+
+        def build(items):
+            return TrapezoidalMapStructure.build(items, box=box)
+
+        grown = _apply(current := build(segments[:5]), "insert", segments[5])
+        assert grown is not current
+        _assert_same(grown, build(segments))
+        shrunk = _apply(grown, "delete", segments[0])
+        _assert_same(shrunk, build(segments[1:]))
+        assert _apply(build(segments[:1]), "delete", segments[0]) is None
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sorted_list_property(self, data):
+        keys = st.integers(-20, 20).map(float)
+        self._property(data, SortedListStructure, keys)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_trie_property(self, data):
+        strings = st.text(alphabet="ACG", max_size=4)
+        self._property(data, self._trie(DNA), strings, self._validate_trie)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_quadtree_property(self, data):
+        # multiples of 1/8 land on cell boundaries and the closed far faces
+        coordinate = st.integers(0, 8).map(lambda value: value / 8)
+        self._property(data, self._quadtree(2), st.tuples(coordinate, coordinate))
+
+    @staticmethod
+    def _property(data, build, items, validate_tree=None):
+        """A random insert/delete sequence equals a rebuild after every step."""
+        initial = data.draw(st.lists(items, min_size=1, max_size=6, unique=True))
+        shadow, operations = list(initial), []
+        for _ in range(data.draw(st.integers(1, 25))):
+            if shadow and data.draw(st.booleans()):
+                victim = data.draw(st.sampled_from(shadow))
+                shadow.remove(victim)
+                operations.append(("delete", victim))
+            else:
+                item = data.draw(items)
+                if item not in shadow:
+                    shadow.append(item)
+                    operations.append(("insert", item))
+            if not shadow:
+                break
+        _replay(build, initial, operations, validate_tree)
+
+
+class TestUpdateLocality:
+    """An update's local work follows its message count, not the level size."""
+
+    @staticmethod
+    def _units_built(monkeypatch, size):
+        """``RangeUnit`` constructions during one delete and one insert."""
+        keys = sorted(set(float(key) for key in uniform_keys(size, seed=17)))
+        web = SkipWeb1D(keys, seed=17)
+        built = []
+        real = linked_list.RangeUnit
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linked_list, "RangeUnit", counting)
+        counts = []
+        for update, key in ((web.delete, keys[len(keys) // 2]), (web.insert, keys[3] + 0.25)):
+            del built[:]
+            assert update(key).messages > 0
+            counts.append(len(built))
+        monkeypatch.undo()
+        return counts, web.web.height
+
+    def test_unit_constructions_do_not_grow_with_n(self, monkeypatch):
+        (small_delete, small_insert), small_height = self._units_built(monkeypatch, 512)
+        (large_delete, large_insert), large_height = self._units_built(monkeypatch, 4096)
+        # one merged link per level on delete; node + two links on insert
+        assert 0 < small_delete <= small_height + 1
+        assert 0 < large_delete <= large_height + 1
+        assert 0 < small_insert <= 3 * (small_height + 1)
+        assert 0 < large_insert <= 3 * (large_height + 1)
+        assert large_delete < 2 * small_delete
+        assert large_insert < 2 * small_insert
+
+
+#: ``handle.messages`` of 30 seeded façade deletes per updatable family,
+#: recorded at the commit before deletes became in-place (seed 13; see
+#: ``TestPinnedDeleteCosts._scenario``).  A splice that is not canonical
+#: moves record placement and therefore these counts.
+# fmt: off
+PINNED_DELETE_MESSAGES = {
+    "bucket-skipgraph": [3, 2, 1, 3, 2, 4, 2, 1, 1, 1, 3, 1, 2, 2, 2, 0, 3, 1, 3, 2, 2, 3, 0, 8, 2, 3, 2, 2, 0, 2],
+    "bucket-skipweb1d": [3] * 30,
+    "det-skipnet": [12, 18, 1, 10, 11, 8, 12, 12, 13, 11, 12, 16, 11, 13, 7, 11, 15, 13, 9, 9, 10, 10, 12, 10, 9, 8, 10, 8, 10, 9],
+    "family-tree": [7, 17, 7, 11, 11, 11, 14, 16, 16, 15, 9, 6, 13, 16, 16, 15, 14, 17, 10, 12, 13, 12, 13, 14, 13, 11, 5, 6, 18, 8],
+    "non-skipgraph": [44, 26, 33, 39, 35, 42, 34, 34, 38, 37, 41, 31, 31, 30, 32, 37, 43, 30, 35, 35, 21, 33, 40, 31, 25, 26, 19, 29, 31, 19],
+    "skipgraph": [13, 13, 19, 10, 15, 10, 13, 13, 15, 9, 16, 14, 17, 11, 13, 16, 11, 10, 11, 13, 15, 12, 16, 14, 11, 15, 16, 15, 11, 13],
+    "skipnet": [8, 18, 19, 11, 15, 10, 15, 14, 10, 16, 16, 15, 13, 14, 14, 15, 14, 12, 16, 9, 16, 13, 9, 15, 10, 18, 17, 14, 12, 8],
+    "skipquadtree": [14, 29, 21, 26, 17, 18, 28, 24, 23, 27, 26, 27, 20, 22, 19, 19, 20, 19, 19, 16, 27, 24, 22, 20, 18, 21, 18, 20, 17, 22],
+    "skiptrapezoid": [40, 53, 44, 41, 35, 44, 25, 45, 30, 33, 41, 25, 30, 35, 33, 23, 27, 28, 30, 26, 19, 26, 26, 22, 22, 12, 18, 19, 16, 17],
+    "skiptrie": [20, 19, 19, 23, 19, 27, 19, 27, 16, 25, 15, 21, 18, 24, 11, 26, 22, 14, 17, 18, 13, 22, 17, 23, 17, 22, 20, 24, 28, 22],
+    "skipweb1d": [39, 36, 37, 34, 19, 39, 38, 28, 28, 33, 33, 24, 27, 36, 31, 33, 27, 36, 37, 22, 28, 29, 26, 28, 31, 36, 30, 16, 22, 27],
+}
+# fmt: on
+
+
+class TestPinnedDeleteCosts:
+    """Façade delete costs are the ones a rebuild-per-level produced."""
+
+    @staticmethod
+    def _scenario(name):
+        if name == "skipquadtree":
+            return uniform_points(96, dimension=2, seed=13), {
+                "bounding_cube": HyperCube((0.0, 0.0), 1.0)
+            }
+        if name == "skiptrie":
+            return dna_reads(96, seed=13), {"alphabet": DNA}
+        if name == "skiptrapezoid":
+            return non_crossing_segments(32, seed=13), {}
+        if name == "bucket-skipweb1d":
+            return uniform_keys(96, seed=13), {"memory_size": 16}
+        return uniform_keys(96, seed=13), {}
+
+    def test_every_updatable_family_is_pinned(self):
+        updatable = {name for name, spec in structure_specs().items() if spec.supports_updates}
+        assert updatable == set(PINNED_DELETE_MESSAGES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DELETE_MESSAGES))
+    def test_thirty_seeded_deletes(self, name):
+        items, kwargs = self._scenario(name)
+        cluster = Cluster(structure=name, items=items, seed=13, **kwargs)
+        victims = random.Random(f"pin:{name}").sample(list(items), 30)
+        handles = [cluster.delete(victim) for victim in victims]
+        assert all(handle.ok for handle in handles)
+        assert [handle.messages for handle in handles] == PINNED_DELETE_MESSAGES[name]
 
 
 class TestNetworkCaches:

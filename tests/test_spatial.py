@@ -1,5 +1,6 @@
 """Tests for geometry, compressed quadtrees/octrees and quadtree skip-webs."""
 
+import math
 import random
 
 import pytest
@@ -64,6 +65,43 @@ class TestGeometry:
     def test_point_distance_dimension_mismatch(self):
         with pytest.raises(ValueError):
             point_distance((0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+class TestDefaultBoundingCube:
+    """``BoundingBox.around(points).to_cube()`` must hold its own maximum point.
+
+    ``low + (high - low)``, and the same sum taken half by half down the
+    cell hierarchy, can round to one ulp below ``high``; the cube widens
+    by single ulps exactly when that would push the point out of a cell.
+    """
+
+    @staticmethod
+    def _naive_side(points):
+        return max(
+            max(point[axis] for point in points) - min(point[axis] for point in points)
+            for axis in range(2)
+        )
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_uniform_points_build_in_their_own_cube(self, seed):
+        points = uniform_points(1024, seed=seed)
+        cube = BoundingBox.around(points).to_cube()
+        tree = CompressedQuadtree(points, cube)
+        assert all(tree.locate(point).point == point for point in tree.points)
+        # Bit-identical where the naive cube already worked (seeds 1, 3, 5,
+        # 6, 8, 10), one ulp wider where it raised "escaped its child cell".
+        naive = self._naive_side(points)
+        widened = seed in {2, 4, 7, 9, 11, 12}
+        assert cube.side == (math.nextafter(naive, math.inf) if widened else naive)
+
+    def test_web_without_explicit_cube_takes_updates_beside_its_maximum(self):
+        points = uniform_points(256, seed=7)
+        web = SkipQuadtreeWeb(points, seed=7)
+        corner = max(points, key=lambda point: point[0])
+        neighbour = (math.nextafter(corner[0], -math.inf), corner[1])
+        assert web.insert(neighbour).messages > 0
+        assert web.delete(corner).messages > 0
+        web.web.validate()
 
 
 class TestCompressedQuadtree:
