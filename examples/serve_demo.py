@@ -1,8 +1,8 @@
 """Serve demo: the HTTP/JSON service layer, end to end, in one process.
 
-Boots the :mod:`repro.server` WSGI app on an OS-assigned port (stdlib
-``wsgiref`` on a daemon thread), then plays a full client against it
-with nothing but ``urllib``:
+Boots the :mod:`repro.server` WSGI app on an OS-assigned port (on a
+daemon thread), then plays a full client against it over one persistent
+``http.client`` connection:
 
 1. create a second named cluster over the wire (``POST /clusters``),
 2. run single operations and a concurrent batch, watching the handle
@@ -18,7 +18,7 @@ Run with:  python examples/serve_demo.py
 
 import json
 
-from repro.server import create_app, request_json, run_hammer, serve_background
+from repro.server import JsonClient, create_app, run_hammer, serve_background
 from repro.workloads import uniform_keys
 
 ITEMS = 96
@@ -39,11 +39,11 @@ def main():
     server, _thread = serve_background(app, "127.0.0.1", 0)
     url = f"http://127.0.0.1:{server.server_address[1]}"
     print(f"serving on {url} (dashboard at {url}/)")
+    client = JsonClient(url)
 
     try:
         # -- a second cluster over the wire ----------------------------- #
-        code, body = request_json(
-            url,
+        code, body = client.request(
             "POST",
             "/clusters",
             {
@@ -60,17 +60,16 @@ def main():
 
         # -- single operations and the error taxonomy ------------------- #
         keys = uniform_keys(ITEMS, seed=SEED)
-        code, body = request_json(url, "POST", "/ops/get", {"payload": keys[5]})
+        code, body = client.request("POST", "/ops/get", {"payload": keys[5]})
         print(
             f"GET known key      -> HTTP {code}, status {body['status']!r}, "
             f"{body['messages']} messages over {body['rounds']} rounds"
         )
-        code, body = request_json(
-            url, "POST", "/ops/range",
-            {"cluster": "names", "payload": {"prefix": "a"}},
+        code, body = client.request(
+            "POST", "/ops/range", {"cluster": "names", "payload": {"prefix": "a"}}
         )
         print(f"prefix range       -> HTTP {code}, status {body['status']!r}")
-        code, body = request_json(url, "POST", "/ops/delete", {"payload": -1.0})
+        code, body = client.request("POST", "/ops/delete", {"payload": -1.0})
         print(
             f"delete missing key -> HTTP {code}, status {body['status']!r}, "
             f"typed error {body['error']!r}"
@@ -79,7 +78,7 @@ def main():
         # -- one concurrent batch --------------------------------------- #
         operations = [{"kind": "get", "payload": key} for key in keys[:10]]
         operations.append({"kind": "range", "payload": [keys[0], keys[0] + 5e4]})
-        code, body = request_json(url, "POST", "/batch", {"operations": operations})
+        code, body = client.request("POST", "/batch", {"operations": operations})
         summary = body["summary"]
         print(
             f"\nPOST /batch ({len(operations)} ops) -> "
@@ -88,12 +87,13 @@ def main():
         )
 
         # -- churn lifecycle + dashboard aggregates --------------------- #
-        code, event = request_json(url, "POST", "/churn/crash", {})
+        code, event = client.request("POST", "/churn/crash", {})
         print(
             f"\ncrash host {event['host']} -> {event['repair_messages']} "
             f"repair messages, {event['pointers_rewired']} pointers rewired"
         )
-        code, stats = request_json(url, "GET", "/dashboard/stats?cluster=default")
+        code, stats = client.request("GET", "/dashboard/stats?cluster=default")
+        print(f"(all of the above over {client.opened} connection)")
         row = stats["clusters"][0]
         print(
             "dashboard stats    ->",
@@ -127,6 +127,7 @@ def main():
         if not identical:
             raise SystemExit("hammer runs diverged — determinism bug")
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         app.manager.close()

@@ -660,14 +660,12 @@ class Cluster:
         return handle
 
     def _default_origin(self) -> HostId:
-        # Hot path for immediate singles: O(1) membership checks with an
-        # early exit, not a per-operation copy of the alive-host list.
-        network = self.network
-        failed = network.failed_hosts
-        for host in self.structure.origin_hosts():
-            if host in network and host not in failed:
-                return host
-        raise QueryError("cluster has no alive origin hosts")
+        # Immediate singles start at the first alive origin, read from
+        # the executor's cached list (the one batches spread over).
+        origins = self.executor.alive_origins()
+        if not origins:
+            raise QueryError("cluster has no alive origin hosts")
+        return origins[0]
 
     def _run_single(
         self, kind: str, payload: Any, origin_host: HostId | None

@@ -319,6 +319,54 @@ class BatchExecutor:
         self._cache_epoch = self.network.membership_epoch
         self._cache_hits = 0
         self._cache_misses = 0
+        # alive_origins() memo: what the structure declared, at which epoch.
+        self._origins: list[HostId] = []
+        self._origins_declared: Any = None
+        self._origins_epoch = -1
+
+    def alive_origins(self) -> list[HostId]:
+        """The alive hosts of ``structure.origin_hosts()``, in declared order.
+
+        Post-churn, ``origin_hosts()`` may still name failed hosts whose
+        records have not been repaired away, and originating an operation
+        there would fail it instantly.  Filtering them out is a scan over
+        every host, so the answer is kept until the network's membership
+        epoch moves (join, leave, crash, recover) or the structure
+        declares a different list (repair, an update that changes which
+        hosts hold roots).  The one place default origins come from — the
+        sharded executor and the façade's immediate mode read it too.
+        Callers index the returned list and never mutate it.
+        """
+        declared = self.structure.origin_hosts()
+        epoch = self.network.membership_epoch
+        if epoch != self._origins_epoch or declared != self._origins_declared:
+            alive = set(self.network.alive_host_ids())
+            self._origins = [host for host in declared if host in alive]
+            self._origins_declared = declared
+            self._origins_epoch = epoch
+        return self._origins
+
+    def place(self, operations: list[Operation] | tuple[Operation, ...]) -> list[OpOutcome]:
+        """One blank outcome per operation, its origin host decided.
+
+        Unpinned operations go round-robin by batch index over
+        :meth:`alive_origins`.
+        """
+        origins = self.alive_origins()
+        if not origins:
+            raise QueryError("structure has no alive origin hosts to run a batch from")
+        count = len(origins)
+        return [
+            OpOutcome(
+                operation=operation,
+                origin_host=(
+                    operation.origin_host
+                    if operation.origin_host is not None
+                    else origins[index % count]
+                ),
+            )
+            for index, operation in enumerate(operations)
+        ]
 
     def _sync_cache_epoch(self) -> None:
         """Drop every memoized route once the network's membership changed.
@@ -338,26 +386,9 @@ class BatchExecutor:
     # ------------------------------------------------------------------ #
     def run(self, operations: list[Operation] | tuple[Operation, ...]) -> BatchResult:
         """Execute ``operations`` concurrently, one host crossing per round each."""
-        # Post-churn, ``origin_hosts()`` may still name failed hosts whose
-        # records have not been repaired away; originating an operation
-        # there would fail it instantly, so spread the batch over the
-        # alive origins only.
-        alive = set(self.network.alive_host_ids())
-        origins = [
-            host for host in self.structure.origin_hosts() if host in alive
-        ]
-        if not origins:
-            raise QueryError(
-                "structure has no alive origin hosts to run a batch from"
-            )
-        states: list[_InFlight] = []
-        for index, operation in enumerate(operations):
-            origin = (
-                operation.origin_host
-                if operation.origin_host is not None
-                else origins[index % len(origins)]
-            )
-            states.append(_InFlight(OpOutcome(operation=operation, origin_host=origin)))
+        # Origins come from the cached alive-origin list: no per-batch
+        # scan over the hosts.
+        states = [_InFlight(outcome) for outcome in self.place(operations)]
 
         self._cache_hits = 0
         self._cache_misses = 0

@@ -47,8 +47,8 @@ from typing import Any, Callable
 
 from repro.engine.executor import BatchExecutor, BatchResult, Operation, OpOutcome, _InFlight
 from repro.engine.protocol import DistributedStructure
-from repro.errors import QueryError
 from repro.net.congestion import round_congestion_report
+from repro.net.naming import HostId
 from repro.net.network import RoundReport
 
 #: Operation kinds that are safe to run on a read-mostly snapshot.
@@ -203,6 +203,10 @@ class ShardedExecutor:
         #: Why the most recent batch ran serially (``None`` = it sharded).
         self.last_fallback_reason: str | None = None
 
+    def alive_origins(self) -> list[HostId]:
+        """Default origins: the embedded serial executor's list (one cache)."""
+        return self._serial.alive_origins()
+
     # ------------------------------------------------------------------ #
     # shardability gate
     # ------------------------------------------------------------------ #
@@ -261,24 +265,9 @@ class ShardedExecutor:
     def _run_sharded(
         self, operations: list[Operation] | tuple[Operation, ...]
     ) -> BatchResult | None:
-        # Origin assignment must match the serial executor byte for byte:
-        # alive origins only, round-robin by batch index.
-        alive = set(self.network.alive_host_ids())
-        origins = [
-            host for host in self.structure.origin_hosts() if host in alive
-        ]
-        if not origins:
-            raise QueryError(
-                "structure has no alive origin hosts to run a batch from"
-            )
-        outcomes: list[OpOutcome] = []
-        for index, operation in enumerate(operations):
-            origin = (
-                operation.origin_host
-                if operation.origin_host is not None
-                else origins[index % len(origins)]
-            )
-            outcomes.append(OpOutcome(operation=operation, origin_host=origin))
+        # Origin assignment is the serial executor's own, so the two
+        # match byte for byte.
+        outcomes = self._serial.place(operations)
 
         # Partition by origin host so every origin's operations land in one
         # worker (cache/ordering locality), round-robin over sorted hosts.

@@ -1,19 +1,14 @@
 """repro.server — the HTTP/JSON service layer over the cluster façade.
 
-Stdlib-only (``wsgiref`` + ``threading``): :func:`create_app` builds the
-WSGI application, :mod:`repro.server.runner` hosts it, and
+Stdlib-only: :func:`create_app` builds the WSGI application,
+:mod:`repro.server.runner` hosts it on persistent HTTP/1.1 connections, and
 :func:`run_hammer` is the seeded load generator the CI serve-gate runs
 against it.  ``python -m repro.cli serve`` / ``hammer`` close the loop
 from the command line.
 """
 
 from repro.server.dashboard import DASHBOARD_HTML, collect_stats
-from repro.server.hammer import (
-    HammerReport,
-    request_json,
-    run_hammer,
-    wait_until_ready,
-)
+from repro.server.hammer import HammerReport, JsonClient, run_hammer
 from repro.server.manager import (
     ClusterManager,
     ServedCluster,
@@ -41,6 +36,7 @@ __all__ = [
     "STATUS_HTTP",
     "ClusterManager",
     "HammerReport",
+    "JsonClient",
     "ReproApp",
     "ServedCluster",
     "ServedSession",
@@ -52,9 +48,7 @@ __all__ = [
     "http_status_for",
     "http_status_for_error",
     "make_http_server",
-    "request_json",
     "run_hammer",
     "serve_background",
     "serve_forever",
-    "wait_until_ready",
 ]

@@ -1,11 +1,13 @@
-"""The seeded load generator: concurrent sessions over plain ``urllib``.
+"""The seeded load generator: concurrent sessions over ``http.client``.
 
 ``run_hammer`` opens N server sessions, drives each from its own thread
-with a per-session ``random.Random(f"{seed}:{index}")`` stream, and
-returns a :class:`HammerReport` with two disjoint views:
+with a per-session ``random.Random(f"{seed}:{index}")`` stream over one
+persistent connection per session (:class:`JsonClient`), and returns a
+:class:`HammerReport` with two disjoint views:
 
 * **timing** — requests/sec, p50/p99 request latency, per-HTTP-status
-  counts.  Wall-clock, different every run, for humans and job summaries.
+  counts, connections opened.  Wall-clock, different every run, for
+  humans and job summaries.
 * **determinism** — per-session operation facts (kind, payload, handle
   status, message/round/retry/latency counters, a SHA-256 digest over
   the per-operation results) keyed by the *client-side* session index.
@@ -23,58 +25,92 @@ cross-session interleaving sensitivity.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Any
+from urllib.parse import urlsplit
 
 from repro.workloads import uniform_keys
 
-
-def request_json(
-    base_url: str,
-    method: str,
-    path: str,
-    body: Any = None,
-    timeout: float = 10.0,
-) -> tuple[int, dict[str, Any]]:
-    """One JSON request; HTTP error codes return normally (code, body)."""
-    data = json.dumps(body).encode("utf-8") if body is not None else None
-    request = urllib.request.Request(
-        base_url.rstrip("/") + path,
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        raw = exc.read().decode("utf-8", errors="replace")
-        try:
-            parsed = json.loads(raw)
-        except json.JSONDecodeError:
-            parsed = {"error": "NonJsonBody", "message": raw, "status": exc.code}
-        return exc.code, parsed
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
-def wait_until_ready(base_url: str, timeout: float = 10.0) -> None:
-    """Poll ``/healthz`` until the server answers (or raise TimeoutError)."""
-    deadline = time.monotonic() + timeout
-    last_error: Exception | None = None
-    while time.monotonic() < deadline:
-        try:
-            code, _ = request_json(base_url, "GET", "/healthz", timeout=2.0)
-            if code == 200:
-                return
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            last_error = exc
-        time.sleep(0.05)
-    raise TimeoutError(f"server at {base_url} not ready after {timeout:.1f}s: {last_error}")
+class JsonClient:
+    """One persistent HTTP/1.1 connection speaking JSON to one server.
+
+    The connection opens on first use and is reused for every later
+    request; when the server has dropped it in the meantime (idle
+    timeout, restart) it is reopened once and the request resent.
+    ``opened`` counts the connections made, so a caller can tell reuse
+    from connect-per-request.
+    """
+
+    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
+        parts = urlsplit(base_url)
+        self._address = (parts.hostname or "127.0.0.1", parts.port or 80)
+        self._prefix = parts.path.rstrip("/")
+        self._timeout = timeout
+        self._connection: http.client.HTTPConnection | None = None
+        self.opened = 0
+
+    def request(self, method: str, path: str, body: Any = None) -> tuple[int, dict[str, Any]]:
+        """One JSON request; HTTP error codes return normally (code, body)."""
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        while True:
+            reused = self._connection is not None
+            if not reused:
+                connection = http.client.HTTPConnection(*self._address, timeout=self._timeout)
+                connection.connect()
+                self._connection = connection
+                self.opened += 1
+            try:
+                self._connection.request(
+                    method, self._prefix + path, body=data, headers=_JSON_HEADERS
+                )
+                response = self._connection.getresponse()
+                raw = response.read()
+            except (http.client.HTTPException, OSError) as exc:
+                self.close()
+                if reused and isinstance(exc, ConnectionError):
+                    continue
+                raise
+            if response.will_close:
+                self.close()
+            try:
+                return response.status, json.loads(raw.decode("utf-8"))
+            except ValueError:
+                message = raw.decode("utf-8", errors="replace")
+                return response.status, {
+                    "error": "NonJsonBody",
+                    "message": message,
+                    "status": response.status,
+                }
+
+    def close(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def wait_until_ready(self, timeout: float = 10.0) -> None:
+        """Poll ``/healthz`` until the server answers (or raise TimeoutError)."""
+        deadline = time.monotonic() + timeout
+        last_error: Exception | None = None
+        while time.monotonic() < deadline:
+            try:
+                code, _ = self.request("GET", "/healthz")
+                if code == 200:
+                    return
+            except (http.client.HTTPException, OSError) as exc:
+                last_error = exc
+            time.sleep(0.05)
+        raise TimeoutError(
+            f"server at {self._address[0]}:{self._address[1]} not ready "
+            f"after {timeout:.1f}s: {last_error}"
+        )
 
 
 @dataclass
@@ -108,6 +144,9 @@ class HammerReport:
     by_http_status: dict[int, int]
     by_op_status: dict[str, int]
     transport_errors: int
+    #: TCP connections the run made; equals ``sessions`` while the server
+    #: keeps connections alive (timing view only — never compared).
+    connections_opened: int
     session_rows: list[dict[str, Any]]
     digest: str
 
@@ -149,6 +188,7 @@ class HammerReport:
                     if status != "ok"
                 ),
                 "transport_errors": self.transport_errors,
+                "connections_opened": self.connections_opened,
                 "digest": self.digest[:12],
             }
         ]
@@ -166,6 +206,7 @@ class HammerReport:
             f"| p50 latency | {self.latency_p50_ms:.2f} ms |",
             f"| p99 latency | {self.latency_p99_ms:.2f} ms |",
             f"| transport errors | {self.transport_errors} |",
+            f"| connections opened | {self.connections_opened} |",
             f"| result digest | `{self.digest[:16]}` |",
         ]
         for status in sorted(self.by_op_status):
@@ -182,7 +223,7 @@ def _percentile(samples: list[float], fraction: float) -> float:
 
 
 def _drive_session(
-    base_url: str,
+    client: JsonClient,
     cluster: str,
     run: _SessionRun,
     ops: int,
@@ -191,7 +232,6 @@ def _drive_session(
     keys: list[float],
     low: float,
     high: float,
-    timeout: float,
 ) -> None:
     rng = random.Random(f"{seed}:{run.index}")
     for _ in range(ops):
@@ -208,8 +248,8 @@ def _drive_session(
         body = {"cluster": cluster, "payload": payload, "session": run.session_id}
         started = time.monotonic()
         try:
-            code, answer = request_json(base_url, "POST", f"/ops/{op}", body, timeout=timeout)
-        except (urllib.error.URLError, OSError, TimeoutError):
+            code, answer = client.request("POST", f"/ops/{op}", body)
+        except (http.client.HTTPException, OSError):
             run.transport_errors += 1
             continue
         run.latencies.append((time.monotonic() - started) * 1000.0)
@@ -252,31 +292,39 @@ def run_hammer(
     """
     if mix not in ("read", "write"):
         raise ValueError(f"unknown mix {mix!r}; expected 'read' or 'write'")
-    wait_until_ready(url, timeout=warmup)
     keys = uniform_keys(items, seed=key_seed, low=low, high=high)
     runs = [_SessionRun(index=index) for index in range(sessions)]
-    for run in runs:
-        code, body = request_json(url, "POST", "/sessions", {"cluster": cluster}, timeout=timeout)
-        if code != 201:
-            raise RuntimeError(f"could not open session: HTTP {code} {body}")
-        run.session_id = body["session"]
-    started = time.monotonic()
-    threads = [
-        threading.Thread(
-            target=_drive_session,
-            args=(url, cluster, run, ops, seed, mix, keys, low, high, timeout),
-            name=f"hammer-{run.index}",
-        )
-        for run in runs
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = max(time.monotonic() - started, 1e-9)
-    for run in runs:
-        code, snapshot = request_json(url, "DELETE", f"/sessions/{run.session_id}", timeout=timeout)
-        run.final_snapshot = snapshot if code == 200 else {"error": code}
+    # One connection per session carries its whole life: open, every
+    # operation, close.  The readiness poll rides on the first one.
+    clients = [JsonClient(url, timeout) for _ in runs]
+    try:
+        if clients:
+            clients[0].wait_until_ready(warmup)
+        for run, client in zip(runs, clients):
+            code, body = client.request("POST", "/sessions", {"cluster": cluster})
+            if code != 201:
+                raise RuntimeError(f"could not open session: HTTP {code} {body}")
+            run.session_id = body["session"]
+        started = time.monotonic()
+        threads = [
+            threading.Thread(
+                target=_drive_session,
+                args=(client, cluster, run, ops, seed, mix, keys, low, high),
+                name=f"hammer-{run.index}",
+            )
+            for run, client in zip(runs, clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        elapsed = max(time.monotonic() - started, 1e-9)
+        for run, client in zip(runs, clients):
+            code, snapshot = client.request("DELETE", f"/sessions/{run.session_id}")
+            run.final_snapshot = snapshot if code == 200 else {"error": code}
+    finally:
+        for client in clients:
+            client.close()
 
     session_rows = []
     by_op_status: dict[str, int] = {}
@@ -316,6 +364,7 @@ def run_hammer(
         by_http_status={code: by_http[code] for code in sorted(by_http)},
         by_op_status={status: by_op_status[status] for status in sorted(by_op_status)},
         transport_errors=transport_errors,
+        connections_opened=sum(client.opened for client in clients),
         session_rows=session_rows,
         digest=overall.hexdigest(),
     )

@@ -81,6 +81,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",

@@ -26,7 +26,10 @@ Status discipline (the HTTP half of the error taxonomy):
   :func:`~repro.server.taxonomy.http_status_for_error` with an
   ``{"error", "message", "status"}`` body;
 * transport-level mistakes are plain HTTP: unknown path 404, wrong
-  method 405 (with ``Allow``), malformed JSON or payload 400.
+  method 405 (with ``Allow``), malformed JSON, payload or
+  ``Content-Length`` 400, a body over :data:`MAX_BODY_BYTES` 413 (the
+  last two also cost the client its connection — see
+  :mod:`repro.server.runner`).
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ from repro.server.taxonomy import (
 
 _JSON = [("Content-Type", "application/json; charset=utf-8")]
 _HTML = [("Content-Type", "text/html; charset=utf-8")]
+
+#: Largest request body the service reads (1 MiB; a 64-op batch is ~4 KB).
+MAX_BODY_BYTES = 1 << 20
+
+
+def declared_body_length(raw: str | None) -> int:
+    """``Content-Length`` as a byte count; ``ValueError`` unless it is all digits."""
+    raw = (raw or "0").strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"Content-Length {raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 class _HttpAnswer(Exception):
@@ -155,10 +169,19 @@ class ReproApp:
     @staticmethod
     def _read_json(environ: dict[str, Any]) -> dict[str, Any]:
         try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length <= 0:
+            length = declared_body_length(environ.get("CONTENT_LENGTH"))
+        except ValueError as exc:
+            raise _bad_request(str(exc)) from exc
+        if length > MAX_BODY_BYTES:
+            raise _HttpAnswer(
+                413,
+                {
+                    "error": "PayloadTooLarge",
+                    "message": f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                    "status": 413,
+                },
+            )
+        if length == 0:
             return {}
         raw = environ["wsgi.input"].read(length)
         try:

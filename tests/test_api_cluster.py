@@ -17,6 +17,7 @@ from repro.api.compat import build_churn_controller, build_executor, build_struc
 from repro.baselines import ChordDHT, DistributedOrderedStructure, SkipGraph
 from repro.engine import BatchExecutor, DistributedStructure
 from repro.errors import StructureError
+from repro.net.network import ledger_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.planar import SkipTrapezoidWeb
 from repro.spatial import HyperCube, SkipQuadtreeWeb
@@ -353,3 +354,86 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             cluster = _cluster("skipweb1d")
             assert cluster.nearest(KEYS[0]).ok
+
+
+class TestAliveOrigins:
+    """Default origins come from one cached list that every membership change reaches."""
+
+    ITEMS = uniform_keys(24, seed=11)
+
+    @staticmethod
+    def _expected(cluster):
+        alive = set(cluster.network.alive_host_ids())
+        return [host for host in cluster.structure.origin_hosts() if host in alive]
+
+    def _assert_origins(self, cluster, step):
+        expected = self._expected(cluster)
+        assert expected, step
+        if cluster.mode == "immediate":
+            assert cluster.get(self.ITEMS[0]).origin_host == expected[0], step
+            return
+        count = len(expected) + 3  # wraps around the round-robin
+        report = cluster.batch([("get", key) for key in (self.ITEMS * 2)[:count]])
+        assert [handle.origin_host for handle in report] == [
+            expected[index % len(expected)] for index in range(count)
+        ], step
+        # With a failed host unrepaired, walks through it fail — but none starts there.
+        assert cluster.network.failed_hosts or all(handle.ok for handle in report), step
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(), dict(workers=2), dict(mode="immediate")],
+        ids=["serial", "workers-2", "immediate"],
+    )
+    def test_every_membership_change_is_seen_by_the_next_call(self, kwargs):
+        with ledger_mode():  # the substrate on which workers=2 really forks
+            cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3, **kwargs)
+        self._assert_origins(cluster, "fresh")
+        joined = cluster.join_host().host
+        assert joined in self._expected(cluster)
+        self._assert_origins(cluster, "join")
+        if "workers" in kwargs:
+            assert cluster.executor.last_fallback_reason is None
+        first = self._expected(cluster)[0]
+        cluster.leave_host(first)
+        assert first not in self._expected(cluster)
+        self._assert_origins(cluster, "leave")
+        # A raw crash: the structure still names the dead host as an origin.
+        dead = self._expected(cluster)[0]
+        cluster.network.fail_host(dead)
+        assert dead in cluster.structure.origin_hosts()
+        self._assert_origins(cluster, "fail")
+        cluster.recover_host(dead)
+        assert self._expected(cluster)[0] == dead
+        self._assert_origins(cluster, "recover")
+        cluster.network.fail_host(dead)
+        self._assert_origins(cluster, "fail again")
+        cluster.repair([dead])  # no epoch bump: the declared list changes instead
+        assert dead not in cluster.structure.origin_hosts()
+        self._assert_origins(cluster, "repair")
+        crashed = cluster.crash_host().host
+        assert crashed not in self._expected(cluster)
+        self._assert_origins(cluster, "crash")
+        cluster.close()
+
+    def test_an_update_that_moves_the_declared_origins_is_seen(self):
+        # A skip graph originates where keys live: deleting a host's only
+        # key takes it off that list with no membership change at all.
+        cluster = Cluster("skipgraph", items=[1.0, 2.0, 3.0], seed=3)
+        before = list(cluster.executor.alive_origins())
+        epoch = cluster.network.membership_epoch
+        assert cluster.delete(1.0).ok
+        assert cluster.network.membership_epoch == epoch
+        assert cluster.executor.alive_origins() == self._expected(cluster) != before
+        assert cluster.get(2.0).origin_host == self._expected(cluster)[0]
+
+    def test_a_quiet_cluster_scans_the_hosts_at_most_once(self, monkeypatch):
+        cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3)
+        calls = []
+        scan = cluster.network.alive_host_ids
+        monkeypatch.setattr(
+            cluster.network, "alive_host_ids", lambda: calls.append(1) or scan()
+        )
+        for index in range(200):
+            assert cluster.get(self.ITEMS[index % len(self.ITEMS)]).ok
+        assert len(calls) <= 1

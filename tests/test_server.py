@@ -6,9 +6,13 @@ on an OS-assigned port and run the seeded hammer against it twice,
 asserting the byte-identity property the CI serve-gate enforces.
 """
 
+import http.client
 import io
 import json
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -24,13 +28,16 @@ from repro.server import (
     run_hammer,
     serve_background,
 )
+from repro.server import runner
 from repro.server.dashboard import DASHBOARD_HTML, collect_stats
+from repro.server.hammer import JsonClient
+from repro.server.wsgi import MAX_BODY_BYTES
 from repro.workloads import uniform_keys
 
 KEYS = uniform_keys(48, seed=7)
 
 
-def call(app, method, path, body=None, query="", raw=None):
+def call(app, method, path, body=None, query="", raw=None, length=None):
     """Invoke the WSGI app in-process; returns (status, body, headers)."""
     if raw is None:
         raw = json.dumps(body).encode("utf-8") if body is not None else b""
@@ -38,7 +45,7 @@ def call(app, method, path, body=None, query="", raw=None):
         "REQUEST_METHOD": method,
         "PATH_INFO": path,
         "QUERY_STRING": query,
-        "CONTENT_LENGTH": str(len(raw)),
+        "CONTENT_LENGTH": str(len(raw)) if length is None else length,
         "wsgi.input": io.BytesIO(raw),
     }
     captured = {}
@@ -103,6 +110,19 @@ class TestRoutesAndTransport:
         assert code == 400 and "JSON" in body["message"]
         code, body, _ = call(app, "POST", "/batch", raw=b"[1, 2]")
         assert code == 400 and "object" in body["message"]
+
+    def test_body_length_is_capped_and_validated(self, app):
+        body = {"payload": KEYS[0]}
+        code, answer, _ = call(app, "POST", "/ops/get", body, length=str(MAX_BODY_BYTES + 1))
+        assert (code, answer["error"], answer["status"]) == (413, "PayloadTooLarge", 413)
+        for bad in ("-1", "1e3", "0x10", "1_0", "\u0663"):
+            code, answer, _ = call(app, "POST", "/ops/get", body, length=bad)
+            assert (code, answer["error"]) == (400, "BadRequest"), bad
+        # Exactly at the cap is read; an absent or empty length is no body.
+        code, _, _ = call(app, "POST", "/ops/get", body, length=str(MAX_BODY_BYTES))
+        assert code == 200
+        code, answer, _ = call(app, "POST", "/ops/get", body, length="")
+        assert code == 400 and "payload" in answer["message"]
 
     def test_missing_payload_is_400(self, app):
         code, body, _ = call(app, "POST", "/ops/get", body={})
@@ -526,6 +546,233 @@ class TestClusterClose:
         assert errors == []
 
 
+@pytest.fixture(scope="class")
+def served():
+    """One app on a real socket for the whole class: ``(server, port)``.
+
+    Shared because ``server.shutdown()`` waits out a 0.5 s poll; tests
+    therefore compare ``connections_accepted`` before and after.
+    """
+    application = create_app(
+        initial=[{"name": "default", "structure": "skipweb1d", "items": list(KEYS), "seed": 7}]
+    )
+    server, _thread = serve_background(application, "127.0.0.1", 0)
+    yield server, server.server_address[1]
+    server.shutdown()
+    server.server_close()
+    application.manager.close()
+
+
+def exchange(port, request, timeout=5.0):
+    """Send raw bytes; return ``(everything the server wrote, closed_by_server)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except TimeoutError:
+            return received, False
+        return received, True
+
+
+class TestPersistentConnections:
+    """The connection model of DESIGN.md §12, over a real socket."""
+
+    GET_KEY = f"/ops/get?payload={KEYS[3]}"
+
+    def test_fifty_requests_ride_one_accepted_connection(self, served):
+        server, port = served
+        accepted = server.connections_accepted
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        for index in range(50):
+            connection.request("GET", f"/ops/get?payload={KEYS[index % len(KEYS)]}")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 200 and response.version == 11
+            assert not response.will_close
+            assert body["status"] == "ok"
+        connection.close()
+        assert server.connections_accepted == accepted + 1
+
+    def test_connection_close_is_honoured(self, served):
+        _server, port = served
+        request = f"GET {self.GET_KEY} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        reply, closed = exchange(port, request.encode("ascii"))
+        assert closed
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["status"] == "ok"
+
+    def test_http_10_client_gets_its_reply_and_a_closed_socket(self, served):
+        _server, port = served
+        reply, closed = exchange(port, f"GET {self.GET_KEY} HTTP/1.0\r\n\r\n".encode("ascii"))
+        assert closed
+        assert b" 200 OK\r\n" in reply.split(b"\r\n\r\n", 1)[0]
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["status"] == "ok"
+
+    def test_error_replies_keep_the_connection_usable(self, served):
+        server, port = served
+        accepted = server.connections_accepted
+        client = JsonClient(f"http://127.0.0.1:{port}")
+        assert client.request("GET", "/no/such/route")[0] == 404
+        assert client.request("DELETE", "/healthz")[0] == 405
+        assert client.request("POST", "/ops/delete", {"payload": -1.0})[0] == 409
+        code, body = client.request(
+            "POST", "/clusters", {"name": "ring", "structure": "chord", "items": [1, 2, 3]}
+        )
+        assert code == 201, body
+        code, body = client.request("POST", "/ops/range", {"cluster": "ring", "payload": [1, 2]})
+        assert (code, body["status"]) == (422, "unsupported")
+        assert client.request("GET", "/healthz")[0] == 200
+        client.close()
+        assert client.opened == 1
+        assert server.connections_accepted == accepted + 1
+
+    def test_a_body_the_route_never_reads_does_not_corrupt_the_next_request(self, served):
+        server, port = served
+        accepted = server.connections_accepted
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        # 405 before any body read; the body looks like a request line.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        connection.request("POST", "/healthz", body=smuggled)
+        response = connection.getresponse()
+        assert response.status == 405
+        response.read()
+        for _ in range(2):
+            connection.request("POST", "/ops/get", body=json.dumps({"payload": KEYS[3]}))
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["payload"] == KEYS[3]
+        connection.close()
+        assert server.connections_accepted == accepted + 1
+
+    def test_head_reply_carries_no_body(self, served):
+        _server, port = served
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        connection.request("HEAD", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 405 and response.read() == b""
+        connection.request("GET", "/healthz")
+        assert connection.getresponse().status == 200
+        connection.close()
+
+    @pytest.mark.parametrize(
+        ("length", "code", "error"),
+        [
+            (str(MAX_BODY_BYTES + 1), 413, "PayloadTooLarge"),
+            ("-5", 400, "BadRequest"),
+            ("twelve", 400, "BadRequest"),
+        ],
+    )
+    def test_unframeable_bodies_get_a_typed_reply_and_a_closed_socket(
+        self, served, length, code, error
+    ):
+        _server, port = served
+        request = (
+            f"POST /ops/get HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+            '{"payload": 1.0}'
+        )
+        reply, closed = exchange(port, request.encode("ascii"))
+        assert closed
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {code} ".encode("ascii"))
+        assert b"Connection: close" in head
+        answer = json.loads(body)
+        assert (answer["error"], answer["status"]) == (error, code)
+
+    @pytest.mark.parametrize(
+        ("head", "code"),
+        [
+            # The stdlib answers these two HTTP/0.9 style: a page, no status line.
+            (b"NOT-HTTP\r\n\r\n", b"Error code: 400"),
+            (b"GET /healthz HTTP/9.9\r\n\r\n", b"Error code: 505"),
+            (b"GET /a /b HTTP/1.1\r\n\r\n", b"HTTP/1.1 400 "),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 200 + b"\r\n", b"HTTP/1.1 431 "),
+        ],
+        ids=["one-word", "version-9.9", "four-words", "200-headers"],
+    )
+    def test_a_head_that_does_not_parse_closes_the_connection(self, served, head, code):
+        _server, port = served
+        # A well-formed request behind the broken one must not be answered.
+        reply, closed = exchange(port, head + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert closed
+        assert code in reply
+        assert b'"clusters"' not in reply
+
+    def test_an_idle_connection_is_dropped_after_the_timeout(self, served, monkeypatch):
+        _server, port = served
+        monkeypatch.setattr(runner, "IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+            started = time.monotonic()
+            assert sock.recv(65536) == b""  # EOF: the server hung up
+            assert 0.1 < time.monotonic() - started < 3.0
+
+    def test_client_reopens_a_dropped_connection_once(self, served, monkeypatch):
+        server, port = served
+        accepted = server.connections_accepted
+        monkeypatch.setattr(runner, "IDLE_TIMEOUT_S", 0.2)
+        client = JsonClient(f"http://127.0.0.1:{port}")
+        assert client.request("GET", "/healthz")[0] == 200
+        time.sleep(0.5)
+        assert client.request("GET", "/healthz")[0] == 200
+        client.close()
+        assert client.opened == 2 == server.connections_accepted - accepted
+
+    def test_connection_registry_survives_concurrent_connects_and_closes(self, served):
+        server, port = served
+        accepted = server.connections_accepted
+        failures = []
+
+        def churn():
+            try:
+                for _ in range(15):
+                    client = JsonClient(f"http://127.0.0.1:{port}")
+                    assert client.request("GET", "/healthz")[0] == 200
+                    client.close()
+            except Exception as exc:  # noqa: BLE001 - the assertion target
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and not any(thread.is_alive() for thread in threads)
+        assert server.connections_accepted == accepted + 8 * 15
+        deadline = time.monotonic() + 5
+        while server._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._open == set()  # every connection thread took its socket back out
+
+    def test_shutdown_does_not_wait_for_idle_kept_alive_connections(self, app):
+        server, thread = serve_background(app, "127.0.0.1", 0)
+        port = server.server_address[1]
+        idle = [http.client.HTTPConnection("127.0.0.1", port, timeout=5) for _ in range(2)]
+        for connection in idle:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+        started = time.monotonic()
+        server.shutdown()
+        server.server_close()
+        assert time.monotonic() - started < 2.0
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        # The kept-alive connections were hung up on, not left serving.
+        for connection in idle:
+            with pytest.raises((http.client.HTTPException, OSError)):
+                connection.request("GET", "/healthz")
+                connection.getresponse()
+            connection.close()
+
+
 class TestEndToEnd:
     def test_real_socket_serve_and_hammer_determinism(self):
         """Acceptance: two seeded hammer runs are byte-identical."""
@@ -553,6 +800,11 @@ class TestEndToEnd:
             # The wall-clock half really is measured, just not compared.
             assert first.requests_per_sec > 0
             assert first.latency_p99_ms >= first.latency_p50_ms >= 0
+            # One connection per session, for the session's whole life.
+            assert first.connections_opened == second.connections_opened == 3
+            assert first.summary_rows()[0]["connections_opened"] == 3
+            assert "connections_opened" not in json.dumps(first.deterministic_report())
+            assert "| connections opened | 3 |" in first.markdown()
         finally:
             server.shutdown()
             server.server_close()
