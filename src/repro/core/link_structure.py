@@ -10,7 +10,10 @@ directly; it talks to them through the abstract interface defined here:
 
 * :class:`RangeUnit` — one node or link together with its range and a
   hashable key.
-* :class:`StructureDelta` — the units one §4 update added and removed.
+* :class:`StructureDelta` — the units one §4 update added, removed and
+  changed.
+* :class:`OverlapView` — an overlap set answered key by key, for
+  structures whose overlap sets are too large to build per update.
 * :class:`RangeDeterminedLinkStructure` — the abstract structure: it can
   enumerate its units, report incidences, compute conflict lists against
   an arbitrary range, locate a query locally, pick the best unit among a
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import abc
 import enum
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from repro.core.ranges import (
     Interval,
@@ -96,14 +100,86 @@ class StructureDelta:
         last item was removed.
     added / removed:
         The units whose *keys* appeared in / disappeared from the
-        structure.  A unit that keeps its key but changes content (a
-        payload representative, a link's parent) is in neither: its
-        record is refreshed only when the update protocol rewires it.
+        structure.
+    refreshed:
+        The units, as they are now, that kept their key but changed: a
+        payload representative, a link's range or its incidences.
+        In-place tree updates derive again the units of every node they
+        touched and list those that came out different; a rebuild lists
+        the surviving keys whose unit is no longer equal; the sorted list
+        never has any.  Together with ``added`` and ``removed`` these are
+        the only units whose own records, neighbours' records and
+        hyperlink holders an update can make stale.
     """
 
     structure: "RangeDeterminedLinkStructure | None"
     added: Sequence[RangeUnit]
     removed: Sequence[RangeUnit]
+    refreshed: Sequence[RangeUnit] = ()
+
+
+class ChangedSurvivors(Sequence[RangeUnit]):
+    """A delta's ``refreshed`` units: those of ``units`` whose key is in
+    ``replaced`` with a different unit, compared on first use.
+
+    Only updates whose overlap scans are too large to visit read them,
+    and a level change re-derives many units that come out the same (a
+    high-fan-out tree node's children, a whole rebuilt map).  Both maps
+    must stay as they are until the delta has been consumed.
+    """
+
+    def __init__(
+        self, units: Mapping[Hashable, RangeUnit], replaced: Mapping[Hashable, RangeUnit]
+    ) -> None:
+        self._pending = (units, replaced)
+        self._changed: list[RangeUnit] | None = None
+
+    def _units(self) -> list[RangeUnit]:
+        if self._changed is None:
+            units, replaced = self._pending
+            self._changed = [
+                unit for key, unit in units.items() if key in replaced and replaced[key] != unit
+            ]
+            self._pending = None
+        return self._changed
+
+    def __getitem__(self, index):
+        return self._units()[index]
+
+    def __len__(self) -> int:
+        return len(self._units())
+
+    def __iter__(self):
+        return iter(self._units())
+
+
+class OverlapView(AbstractSet):
+    """The keys :meth:`RangeDeterminedLinkStructure.overlapping` returns for some
+    ranges, answered one key at a time.
+
+    Returned by :meth:`~RangeDeterminedLinkStructure.overlap_keys` where
+    the overlap sets are too large to build for every update; subclasses
+    decide membership without enumerating them.  Iterating enumerates.
+    """
+
+    def __init__(
+        self, structure: "RangeDeterminedLinkStructure", query_ranges: Sequence[Range]
+    ) -> None:
+        self._structure = structure
+        self._query_ranges = query_ranges
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return set(iterable)
+
+    def __iter__(self):
+        keys: dict[Hashable, None] = {}
+        for query_range in self._query_ranges:
+            keys.update((unit.key, None) for unit in self._structure.overlapping(query_range))
+        return iter(keys)
+
+    def __len__(self) -> int:
+        return sum(1 for _key in self)
 
 
 class RangeDeterminedLinkStructure(abc.ABC):
@@ -177,16 +253,50 @@ class RangeDeterminedLinkStructure(abc.ABC):
     # conflicts (§2.2)
     # ------------------------------------------------------------------ #
     def overlapping(self, query_range: Range) -> list[RangeUnit]:
-        """All units of this structure whose range intersects ``query_range``.
+        """The units of this structure an update touching ``query_range`` reaches.
 
-        This is the literal conflict list ``C(Q, S)`` of §2.2 (non-empty
-        range intersection).  The default implementation scans every unit;
-        subclasses override it with a structure-aware search (bisection
-        for lists, pruned tree walks for quadtrees and tries) because the
-        update protocol calls it to discover which records an update may
-        touch.
+        The default is the literal conflict list ``C(Q, S)`` of §2.2 —
+        every unit whose range intersects ``query_range`` — found by a
+        scan.  Subclasses override it with a structure-aware search:
+        bisection for lists and a pruned tree walk for quadtrees return
+        the same literal set, while the trie's root-path walk returns a
+        subset of it (sibling edges that meet the probe only at a shared
+        ancestor string are left out).  The update protocol rewires a
+        record only when its unit is in this set for a changed range
+        (:meth:`overlap_keys`), so the set is part of the measured cost
+        model.
         """
         return [unit for unit in self.units() if ranges_conflict(query_range, unit.range)]
+
+    def overlap_keys(self, query_ranges: Sequence[Range]) -> AbstractSet[Hashable]:
+        """The keys of every unit :meth:`overlapping` returns for any of ``query_ranges``.
+
+        This is the update protocol's rewire scan for a level change.  The
+        default materialises it, and the protocol then compares every
+        record it reaches.  Structures whose overlap sets are too large
+        for that return an :class:`OverlapView`; the protocol then looks
+        only at the records the delta can change, plus the skip-web's
+        registry of stale copies, and needs :meth:`hyperlink_holders`.
+        """
+        keys: set[Hashable] = set()
+        for query_range in query_ranges:
+            for unit in self.overlapping(query_range):
+                keys.add(unit.key)
+        return keys
+
+    def hyperlink_holders(self, target: Range, names: Callable[[Hashable], bool]) -> list[Hashable]:
+        """Keys of units whose hyperlinks into the level below name a unit with range ``target``.
+
+        ``names(key)`` reports whether the stored record of ``key`` names
+        one of the units a level change one level down removed, changed or
+        gave new neighbours; the result holds every unit of this structure
+        whose hyperlinks (``conflicts`` of its range in the level below)
+        may include the unit with range ``target`` and for which it is
+        true.  The update protocol asks this instead of scanning, so a
+        structure whose :meth:`overlap_keys` is an :class:`OverlapView`
+        must implement it.
+        """
+        raise NotImplementedError(f"{self.name}: no hyperlink holder search")
 
     def conflicts(self, query_range: Range) -> list[RangeUnit]:
         """The units an external range's hyperlinks should point at.
@@ -361,6 +471,7 @@ class RangeDeterminedLinkStructure(abc.ABC):
             rebuilt,
             added=[unit for key, unit in new_units.items() if key not in old_units],
             removed=[unit for key, unit in old_units.items() if key not in new_units],
+            refreshed=ChangedSurvivors(new_units, old_units),
         )
 
     def _emptied(self) -> "StructureDelta":

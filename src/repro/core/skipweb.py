@@ -186,6 +186,14 @@ class SkipWeb:
         # the same relation inverted, so a delete finds the hosts rooted at
         # the deleted item's word without scanning every host
         self._hosts_rooted_at: dict[BitPrefix, set[HostId]] = {}
+        # (level, prefix) -> keys of records holding a stale copy (unit,
+        # neighbour range or hyperlink unit) with the right key and
+        # address.  An update refreshes a record only when its overlap
+        # scan reaches it; where those scans are too large to visit
+        # (OverlapView), repro.core.update registers here every record it
+        # leaves stale, to find it again without recomputing the rest.
+        # Every rewire and removal takes its record out.
+        self._stale: dict[tuple[int, BitPrefix], set[Hashable]] = {}
         # root_entries() memo, invalidated whenever the record layout moves
         # (record creation/removal, churn re-homing) via ``_layout_epoch``.
         self._layout_epoch = 0
@@ -338,6 +346,8 @@ class SkipWeb:
         """Free a record's slot and forget its address."""
         address = self._address_of.pop((level, prefix, key))
         self._level_addresses[(level, prefix)].pop(key, None)
+        if self._stale:
+            self._stale.get((level, prefix), set()).discard(key)
         self.network.free(address)
         self._layout_epoch += 1
         return address
@@ -397,8 +407,11 @@ class SkipWeb:
 
         Returns ``True`` when any stored content actually changed — the
         update protocol uses this to charge messages only for records a
-        real deployment would have had to touch.
+        real deployment would have had to touch.  The record is fresh
+        afterwards, so it leaves the stale-copy registry.
         """
+        if self._stale:
+            self._stale.get((level, prefix), set()).discard(key)
         structure = self._structures[(level, prefix)]
         addresses = self._level_addresses[(level, prefix)]
         record: SkipWebRecord = self.network.load(addresses[key], check_alive=False)

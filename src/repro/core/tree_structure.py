@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping
 
 from repro.core.link_structure import (
+    ChangedSurvivors,
     RangeDeterminedLinkStructure,
     RangeUnit,
     StructureDelta,
@@ -89,8 +90,9 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
         """Derive again the units of the nodes ``change`` names.
 
         Returns the delta by unit key: a key dropped by one node and
-        taken by another in the same update (a rebuilt subtree) survives
-        and is in neither list.
+        taken by another in the same update (a rebuilt subtree) survives.
+        A surviving key is ``refreshed`` when its unit came out different;
+        a node re-derived only because a neighbour changed usually does not.
         """
         stale: list[Any] = []
         for root in change.detached:
@@ -143,6 +145,7 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
             self,
             added=[unit for key, unit in added.items() if key not in removed],
             removed=[unit for key, unit in removed.items() if key not in added],
+            refreshed=ChangedSurvivors(added, removed),
         )
 
     # ------------------------------------------------------------------ #

@@ -16,9 +16,9 @@ that the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from repro.core.link_structure import RangeUnit, StructureDelta, UnitKind
+from repro.core.link_structure import OverlapView, RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
 from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
@@ -170,6 +170,42 @@ class QuadtreeStructure(TreeLinkStructure):
                 result.append(cell.lunit)
         return result
 
+    def overlap_keys(self, query_ranges: Sequence[Range]) -> OverlapView:
+        """:meth:`overlapping`'s keys for cubes (every unit's range), tested per key.
+
+        Each overlap set is a whole ancestor chain plus whole subtrees, so
+        it is never built: membership of a cell is decided by the same
+        pruned walk, replayed up the cell's root path.
+        """
+        return _CellOverlapView(self, list(dict.fromkeys(query_ranges)))
+
+    def hyperlink_holders(
+        self, target: HyperCube, names: Callable[[Hashable], bool]
+    ) -> list[Hashable]:
+        """Cells whose stored hyperlinks name the parent-level cell whose cube is ``target``.
+
+        A cell's hyperlinks name the smallest parent-level cell enclosing
+        it, so the walk starts below the smallest cell enclosing
+        ``target``, enters only cells ``target`` encloses, and prunes
+        every subtree whose root names another cell: everything below it
+        is enclosed by that cell too.
+        """
+        holders: list[Hashable] = []
+        enclosing = self._enclosing_cell(target)
+        stack = [enclosing] if target.contains_cube(enclosing.cube) else list(enclosing.children)
+        while stack:
+            cell = stack.pop()
+            if not target.contains_cube(cell.cube):
+                continue
+            key = cell.nunit.key
+            if not names(key):
+                continue
+            holders.append(key)
+            if cell.parent is not None:
+                holders.append(cell.lunit.key)
+            stack.extend(cell.children)
+        return holders
+
     def conflicts(self, query_range: Range) -> list[RangeUnit]:
         """Search-relevant conflicts: the smallest cell enclosing the query cube.
 
@@ -185,6 +221,13 @@ class QuadtreeStructure(TreeLinkStructure):
         cube = query_range if isinstance(query_range, HyperCube) else None
         if cube is None:
             return super().conflicts(query_range)
+        cell = self._enclosing_cell(cube)
+        if cell.parent is None:
+            return [cell.nunit]
+        return [cell.nunit, cell.lunit]
+
+    def _enclosing_cell(self, cube: HyperCube) -> QuadtreeCell:
+        """The smallest cell of this tree enclosing ``cube`` (the root if none is smaller)."""
         # The descent test is HyperCube.contains_cube, inlined: this is
         # the hottest loop of the update path (every rewire recomputes
         # its hyperlinks) and the call overhead dominates the arithmetic.
@@ -207,9 +250,7 @@ class QuadtreeStructure(TreeLinkStructure):
                     current = child
                     descending = True
                     break
-        if current.parent is None:
-            return [current.nunit]
-        return [current.nunit, current.lunit]
+        return current
 
     # ------------------------------------------------------------------ #
     # range reporting
@@ -332,6 +373,45 @@ class QuadtreeStructure(TreeLinkStructure):
             cell_points=tuple(cell.points),
             nearest_in_cell=nearest,
         )
+
+
+class _CellOverlapView(OverlapView):
+    """The unit keys :meth:`QuadtreeStructure.overlapping` returns for some cubes.
+
+    ``cells_intersecting`` reaches a cell exactly when the cell and every
+    ancestor intersect the cube (rounding can make a cell touch a cube
+    its parent misses), so membership climbs the root path, memoised per
+    cube: the candidates of one update share ancestors.
+    """
+
+    def __init__(self, structure: QuadtreeStructure, cubes: list[HyperCube]) -> None:
+        super().__init__(structure, cubes)
+        self._walks = [(cube, {}) for cube in cubes]
+
+    def __contains__(self, key: object) -> bool:
+        cell = self._structure._node_by_key.get(key)
+        if cell is None:
+            return False
+        return any(self._reached(cell, cube, memo) for cube, memo in self._walks)
+
+    @staticmethod
+    def _reached(cell: QuadtreeCell, cube: HyperCube, memo: dict[int, bool]) -> bool:
+        path: list[QuadtreeCell] = []
+        reached = True
+        node: QuadtreeCell | None = cell
+        while node is not None:
+            known = memo.get(id(node))
+            if known is not None:
+                reached = known
+                break
+            if not node.cube.intersects(cube):
+                memo[id(node)] = reached = False
+                break
+            path.append(node)
+            node = node.parent
+        for node in path:
+            memo[id(node)] = reached
+        return reached
 
 
 def descent_conflicts(

@@ -243,11 +243,13 @@ class TrieStructure(TreeLinkStructure):
         return list(self.trie.strings)
 
     def overlapping(self, query_range: Range) -> list[RangeUnit]:
-        """Units whose prefix run intersects ``query_range`` — a path walk.
+        """Units on the root path of ``query_range.high`` that intersect it.
 
-        Only units along the root path of ``query_range.high`` can share a
-        prefix with it, so the walk visits the matched path instead of
-        scanning every unit.
+        A path-restricted subset of the literal conflict list: an edge
+        leaving a path node sideways also meets the range when it starts
+        at or above the range's first string (the two share the path
+        node's string), but the walk leaves it out.  The update protocol's
+        counted costs are defined by this set, so it stays as it is.
         """
         if not isinstance(query_range, TrieRange):
             return super().overlapping(query_range)

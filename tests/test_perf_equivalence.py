@@ -14,7 +14,9 @@ These tests pin that contract:
   adjacency), report exactly the units they added and removed, and touch
   a number of units that does not grow with the level size;
 * façade delete costs for every updatable family equal the values pinned
-  before the in-place updates landed;
+  before the in-place updates landed, and façade insert costs the values
+  pinned before updates stopped rewiring whole overlap scans;
+* an update recomputes at most twice as many records as actually change;
 * the network-level caches (alive hosts, round reports) change no
   observable number while bounding memory;
 * the sharded multi-worker executor (``Cluster(workers=N)``) produces
@@ -37,6 +39,7 @@ from repro.api import Cluster
 from repro.api.registry import structure_specs
 from repro.baselines import ChordDHT, SkipGraph
 from repro.engine.sharded import ShardedExecutor, fork_available
+from repro.core.skipweb import SkipWeb
 from repro.bench.experiments import (
     churn,
     congestion_rounds,
@@ -49,7 +52,7 @@ from repro.net.network import Network, ledger_mode, tracing_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.onedim import linked_list
 from repro.onedim.linked_list import SortedListStructure
-from repro.planar.segments import bounding_box
+from repro.planar.segments import Segment, bounding_box
 from repro.planar.skip_trapezoid import TrapezoidalMapStructure
 from repro.spatial.geometry import HyperCube
 from repro.spatial.skip_quadtree import QuadtreeStructure, SkipQuadtreeWeb
@@ -456,6 +459,66 @@ class TestUpdateLocality:
         assert large_delete < 2 * small_delete
         assert large_insert < 2 * small_insert
 
+    @staticmethod
+    def _rewires(monkeypatch, name, size):
+        """``_rewire_record`` calls and changed returns over 60 seeded updates."""
+        if name == "skipquadtree":
+            items = uniform_points(size, dimension=2, seed=19)
+            kwargs = {"bounding_cube": HyperCube((0.0, 0.0), 1.0)}
+
+            def fresh(rng):
+                return (rng.random(), rng.random())
+
+        elif name == "skiptrie":
+            items = dna_reads(size, seed=19)
+            kwargs = {"alphabet": DNA}
+
+            def fresh(rng):
+                return "".join(rng.choice("ACGT") for _ in range(rng.randint(8, 30)))
+
+        else:
+            items = uniform_keys(size, seed=19)
+            kwargs = {}
+
+            def fresh(rng):
+                return rng.uniform(0.0, 1_000_000.0)
+
+        cluster = Cluster(structure=name, items=items, seed=19, **kwargs)
+        calls = [0, 0]
+        real = SkipWeb._rewire_record
+
+        def counting(self, level, prefix, key):
+            changed = real(self, level, prefix, key)
+            calls[0] += 1
+            calls[1] += changed
+            return changed
+
+        monkeypatch.setattr(SkipWeb, "_rewire_record", counting)
+        rng = random.Random(f"locality:{name}:{size}")
+        live = list(items)
+        for step in range(60):
+            if step % 2:
+                assert cluster.delete(live.pop(rng.randrange(len(live)))).ok
+            else:
+                item = fresh(rng)
+                live.append(item)
+                assert cluster.insert(item).ok
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("size", [256, 1024])
+    @pytest.mark.parametrize("name", ["skipquadtree", "skiptrie", "skipweb1d"])
+    def test_rewires_follow_changes(self, monkeypatch, name, size):
+        """Records are recomputed where the delta can change them, not across overlap scans.
+
+        The overlap-scan rewiring recomputed 6.5-7.5 records per changed
+        one on the quadtree, whose overlap sets hold whole ancestor chains
+        and subtrees.
+        """
+        calls, changed = self._rewires(monkeypatch, name, size)
+        assert changed > 0
+        assert calls <= 2 * changed
+
 
 #: ``handle.messages`` of 30 seeded façade deletes per updatable family,
 #: recorded at the commit before deletes became in-place (seed 13; see
@@ -475,11 +538,30 @@ PINNED_DELETE_MESSAGES = {
     "skiptrie": [20, 19, 19, 23, 19, 27, 19, 27, 16, 25, 15, 21, 18, 24, 11, 26, 22, 14, 17, 18, 13, 22, 17, 23, 17, 22, 20, 24, 28, 22],
     "skipweb1d": [39, 36, 37, 34, 19, 39, 38, 28, 28, 33, 33, 24, 27, 36, 31, 33, 27, 36, 37, 22, 28, 29, 26, 28, 31, 36, 30, 16, 22, 27],
 }
+
+#: ``handle.messages`` of 30 seeded façade inserts per updatable family,
+#: recorded with the overlap-scan rewiring (same scenarios as the deletes,
+#: fresh items from ``TestPinnedDeleteCosts._fresh_items``).  A rewire
+#: set that misses a changing record moves these counts.
+PINNED_INSERT_MESSAGES = {
+    "bucket-skipgraph": [0, 0, 2, 0, 3, 2, 2, 0, 4, 2, 3, 3, 2, 2, 3, 0, 2, 3, 2, 2, 2, 2, 4, 4, 3, 2, 3, 2, 3, 3],
+    "bucket-skipweb1d": [3] * 30,
+    "det-skipnet": [11, 5, 12, 10, 9, 7, 9, 12, 9, 7, 10, 7, 8, 9, 9, 9, 11, 9, 10, 10, 9, 11, 10, 11, 11, 10, 8, 7, 10, 8],
+    "family-tree": [11, 9, 18, 11, 14, 10, 16, 8, 7, 16, 15, 13, 15, 6, 9, 19, 17, 11, 9, 14, 12, 1, 15, 10, 6, 18, 13, 2, 28, 18],
+    "non-skipgraph": [25, 31, 40, 35, 37, 19, 28, 31, 42, 47, 35, 32, 31, 37, 39, 34, 26, 46, 50, 56, 40, 43, 46, 37, 34, 49, 38, 47, 34, 32],
+    "skipgraph": [13, 10, 14, 11, 11, 11, 8, 13, 14, 13, 12, 3, 6, 13, 16, 11, 10, 14, 15, 12, 14, 17, 11, 16, 5, 16, 16, 14, 16, 16],
+    "skipnet": [16, 11, 10, 12, 16, 13, 15, 14, 8, 14, 13, 15, 17, 10, 5, 9, 11, 13, 17, 10, 15, 17, 6, 17, 13, 13, 15, 9, 13, 17],
+    "skipquadtree": [23, 23, 16, 21, 15, 15, 19, 19, 19, 20, 15, 19, 21, 20, 17, 19, 21, 21, 19, 21, 20, 20, 19, 18, 16, 22, 13, 18, 10, 17],
+    "skiptrapezoid": [35, 24, 19, 22, 37, 29, 23, 26, 25, 29, 15, 22, 27, 18, 24, 28, 35, 24, 25, 28, 23, 25, 14, 20, 38, 30, 20, 25, 23, 30],
+    "skiptrie": [25, 14, 15, 15, 11, 13, 11, 18, 17, 23, 13, 26, 22, 19, 16, 19, 19, 31, 10, 23, 24, 16, 12, 15, 18, 20, 8, 17, 17, 10],
+    "skipweb1d": [30, 32, 19, 42, 22, 22, 36, 33, 31, 30, 25, 35, 17, 38, 34, 32, 36, 15, 35, 31, 37, 36, 33, 36, 32, 30, 25, 22, 25, 29],
+}
 # fmt: on
 
 
 class TestPinnedDeleteCosts:
-    """Façade delete costs are the ones a rebuild-per-level produced."""
+    """Façade delete costs are the ones a rebuild-per-level produced, and
+    façade insert costs the ones the overlap-scan rewiring produced."""
 
     @staticmethod
     def _scenario(name):
@@ -495,9 +577,40 @@ class TestPinnedDeleteCosts:
             return uniform_keys(96, seed=13), {"memory_size": 16}
         return uniform_keys(96, seed=13), {}
 
+    @staticmethod
+    def _fresh_items(name, items, count=30):
+        """``count`` items not in ``items``, drawn from a string-seeded rng."""
+        rng = random.Random(f"pin-insert:{name}")
+        present = set(items)
+        fresh = []
+        while len(fresh) < count:
+            if name == "skipquadtree":
+                item = (rng.random(), rng.random())
+            elif name == "skiptrie":
+                item = "".join(rng.choice("ACGT") for _ in range(rng.randint(4, 24)))
+            elif name == "skiptrapezoid":
+                # A short segment inside the current extent that crosses
+                # nothing and shares no endpoint x (general position).
+                xs = {x for segment in present for x in (segment.left[0], segment.right[0])}
+                ys = [y for segment in present for y in (segment.left[1], segment.right[1])]
+                x1 = rng.uniform(min(xs), max(xs) - 2.0)
+                x2 = x1 + rng.uniform(0.5, 2.0)
+                y1 = rng.uniform(min(ys), max(ys))
+                y2 = min(max(ys), max(min(ys), y1 + rng.uniform(-1.0, 1.0)))
+                item = Segment((x1, y1), (x2, y2))
+                if x1 in xs or x2 in xs or any(item.crosses(other) for other in present):
+                    continue
+            else:
+                item = float(rng.randrange(0, 1_000_000)) + 0.5
+            if item not in present:
+                present.add(item)
+                fresh.append(item)
+        return fresh
+
     def test_every_updatable_family_is_pinned(self):
         updatable = {name for name, spec in structure_specs().items() if spec.supports_updates}
         assert updatable == set(PINNED_DELETE_MESSAGES)
+        assert updatable == set(PINNED_INSERT_MESSAGES)
 
     @pytest.mark.parametrize("name", sorted(PINNED_DELETE_MESSAGES))
     def test_thirty_seeded_deletes(self, name):
@@ -507,6 +620,14 @@ class TestPinnedDeleteCosts:
         handles = [cluster.delete(victim) for victim in victims]
         assert all(handle.ok for handle in handles)
         assert [handle.messages for handle in handles] == PINNED_DELETE_MESSAGES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_INSERT_MESSAGES))
+    def test_thirty_seeded_inserts(self, name):
+        items, kwargs = self._scenario(name)
+        cluster = Cluster(structure=name, items=items, seed=13, **kwargs)
+        handles = [cluster.insert(item) for item in self._fresh_items(name, items)]
+        assert all(handle.ok for handle in handles)
+        assert [handle.messages for handle in handles] == PINNED_INSERT_MESSAGES[name]
 
 
 class TestNetworkCaches:
