@@ -40,7 +40,7 @@ if __package__ in (None, ""):
         sys.path.insert(0, str(_SRC))
 
 from repro.baselines import ChordDHT, SkipGraph
-from repro.engine import BatchExecutor, Operation, RepairEngine, ShardedExecutor, run_immediate
+from repro.engine import BatchExecutor, Operation, RepairEngine, run_immediate
 from repro.net.churn import ChurnController, churn_schedule
 from repro.net.network import ledger_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
@@ -237,17 +237,6 @@ def _run_batched_ops(structure, kind: str, payloads: list[Any]) -> None:
     BatchExecutor(structure).run([Operation(op_kind, payload) for payload in payloads])
 
 
-#: Worker count for the ``executor=sharded-<N>`` rows.
-SHARD_WORKERS = 2
-
-
-def _run_sharded_ops(structure, kind: str, payloads: list[Any]) -> None:
-    op_kind = {"query": "search", "insert": "insert", "range": "range"}[kind]
-    ShardedExecutor(structure, workers=SHARD_WORKERS).run(
-        [Operation(op_kind, payload) for payload in payloads]
-    )
-
-
 def wallclock_rows(
     n: int, queries: int, inserts: int, ranges: int, churn_events: int, seed: int
 ) -> list[Row]:
@@ -286,15 +275,6 @@ def wallclock_rows(
                     "batched",
                     len(scenario.queries),
                     _timed(lambda: _run_batched_ops(structure, "query", scenario.queries)),
-                )
-            )
-            rows.append(
-                _row(
-                    scenario.name,
-                    "query",
-                    f"sharded-{SHARD_WORKERS}",
-                    len(scenario.queries),
-                    _timed(lambda: _run_sharded_ops(structure, "query", scenario.queries)),
                 )
             )
             if scenario.ranges:
@@ -482,13 +462,10 @@ def test_wallclock_quick(capsys):
         # The delta is measured against the calibrated startup floor, so
         # it is non-negative and strictly below the raw high-water mark.
         assert 0 <= row["rss_delta_kb"] < row["peak_rss_kb"]
-    # Both serial executors are exercised for every operational workload,
-    # and every family gets a sharded query row.
+    # Both executors are exercised for every operational workload.
     for workload in ("query", "insert", "range"):
         executors = {row["executor"] for row in rows if row["workload"] == workload}
         assert {"immediate", "batched"} <= executors, workload
-    sharded = {row["structure"] for row in rows if row["executor"] == f"sharded-{SHARD_WORKERS}"}
-    assert sharded == {row["structure"] for row in rows}
     # Every row carries the cost-model column; the explicit topologies
     # appear exactly once each, next to the flat-default majority.
     topologies = {row["topology"] for row in rows}

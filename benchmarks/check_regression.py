@@ -68,24 +68,6 @@ def family_of(key: str) -> str:
     return "wallclock" if key.startswith("wallclock[") else "counts"
 
 
-def fork_start_method_available() -> bool:
-    """Whether ``multiprocessing`` offers the ``fork`` start method.
-
-    The ``executor=sharded-<N>`` wallclock rows time the multi-worker
-    :class:`~repro.engine.sharded.ShardedExecutor`, which shards only
-    under ``fork`` (workers inherit the structure copy-on-write).  On
-    platforms without it the executor falls back to the serial path, so
-    the timing measures something else entirely — those rows are skipped
-    instead of gated.
-    """
-    try:
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - platform quirk
-        return False
-
-
 def tolerance_for(key: str) -> float:
     """Allowed relative regression for one metric."""
     return WALLCLOCK_TOLERANCE if family_of(key) == "wallclock" else TOLERANCE
@@ -194,15 +176,8 @@ def compare(
     """
     failures: list[str] = []
     skipped: list[str] = []
-    sharded_gateable = fork_start_method_available()
     for key in sorted(set(current) | set(baseline)):
         if family_of(key) not in families:
-            continue
-        if "executor=sharded-" in key and not sharded_gateable:
-            skipped.append(
-                f"SHARDED SKIP   {key} (multiprocessing 'fork' start method "
-                "unavailable on this platform; row not gated)"
-            )
             continue
         if key not in baseline:
             skipped.append(

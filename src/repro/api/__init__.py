@@ -19,16 +19,10 @@ API.  They are locked by ``tests/test_api_surface.py`` (run in CI), so
 any signature change is an explicit, reviewed event.  Everything outside
 ``repro.api`` — the structure classes, the engine, the network simulator
 — remains importable for research use but may change shape between
-releases; :mod:`repro.api.compat` keeps the old hand-wiring idiom alive
-one release longer with deprecation warnings.
+releases.
 """
 
-from repro.api.cluster import (
-    Cluster,
-    ClusterSession,
-    default_workers,
-    set_default_workers,
-)
+from repro.api.cluster import Cluster, ClusterSession
 from repro.api.registry import (
     StructureSpec,
     available_structures,
@@ -59,8 +53,6 @@ __all__ = [
     "resolve_structure",
     "available_structures",
     "structure_specs",
-    "set_default_workers",
-    "default_workers",
     "Topology",
     "FlatTopology",
     "ClusteredTopology",

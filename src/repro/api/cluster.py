@@ -46,7 +46,6 @@ from repro.api.results import (
 )
 from repro.engine.executor import BatchExecutor, Operation
 from repro.engine.repair import RepairEngine, RepairResult
-from repro.engine.sharded import ShardedExecutor
 from repro.engine.steps import run_immediate
 from repro.errors import (
     FaultInjectedError,
@@ -89,24 +88,6 @@ _KIND_ALIASES = {
     "range_search": "range",
     "report": "range",
 }
-
-
-#: Process-wide default worker count for clusters constructed without an
-#: explicit ``workers=``; set by the CLI's ``--workers`` flag.
-_DEFAULT_WORKERS = 1
-
-
-def set_default_workers(workers: int) -> None:
-    """Set the worker count clusters default to (the CLI's ``--workers``)."""
-    global _DEFAULT_WORKERS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _DEFAULT_WORKERS = workers
-
-
-def default_workers() -> int:
-    """The worker count a ``Cluster()`` created right now would use."""
-    return _DEFAULT_WORKERS
 
 
 def _canonical_kind(kind: str) -> str:
@@ -189,15 +170,6 @@ class Cluster:
         ``"batched"`` (default) runs every operation through the
         round-based engine; ``"immediate"`` drives single operations
         synchronously (the paper's one-at-a-time accounting).
-    workers:
-        ``> 1`` runs read-only batches through the multi-worker
-        :class:`~repro.engine.sharded.ShardedExecutor` (operation
-        origins partitioned across ``fork`` processes; accounting
-        identical to a serial run).  Mutating batches, churn and
-        non-shardable configurations transparently stay serial.  The
-        default of ``None`` uses the process-wide default set by
-        :func:`set_default_workers` (the CLI's ``--workers`` flag),
-        which itself defaults to serial execution.
     network:
         Pre-existing :class:`~repro.net.network.Network` to deploy into.
     topology:
@@ -260,7 +232,6 @@ class Cluster:
         memory_size: int | None = None,
         seed: int = 0,
         mode: str = "batched",
-        workers: int | None = None,
         network: Network | None = None,
         topology: "Topology | str | None" = None,
         faults: "FaultPlan | str | Mapping[str, Any] | None" = None,
@@ -278,9 +249,6 @@ class Cluster:
             raise ValueError(f"mode must be 'batched' or 'immediate', got {mode!r}")
         self.spec: StructureSpec = resolve_structure(structure)
         self.mode = mode
-        self.workers = workers if workers is not None else _DEFAULT_WORKERS
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.seed = seed
         self._hosts = hosts
         self._memory_size = memory_size
@@ -295,7 +263,7 @@ class Cluster:
         self._join_fraction = join_fraction
         self._min_hosts = min_hosts
         self._structure: Any = None
-        self._executor: BatchExecutor | ShardedExecutor | None = None
+        self._executor: BatchExecutor | None = None
         self._churn: ChurnController | None = None
         self._repair_engine: RepairEngine | None = None
         self._closed = False
@@ -360,7 +328,6 @@ class Cluster:
             "memory_size": self._memory_size,
             "seed": self.seed,
             "mode": self.mode,
-            "workers": self.workers,
             "max_retries": self._max_retries,
             "join_fraction": self._join_fraction,
             "min_hosts": self._min_hosts,
@@ -428,7 +395,6 @@ class Cluster:
                 cluster = cls.__new__(cls)
                 cluster.spec = spec
                 cluster.mode = mode
-                cluster.workers = _DEFAULT_WORKERS
                 cluster.seed = 0
                 cluster._hosts = None
                 cluster._memory_size = None
@@ -529,38 +495,21 @@ class Cluster:
         return self._faults
 
     @property
-    def executor(self) -> BatchExecutor | ShardedExecutor:
-        """The round-based batch executor (created on first use).
-
-        With ``workers > 1`` on a shardable structure family this is a
-        :class:`~repro.engine.sharded.ShardedExecutor`, which itself
-        falls back to its embedded serial executor for any batch outside
-        the shardable envelope — results and accounting are identical
-        either way.
-        """
+    def executor(self) -> BatchExecutor:
+        """The round-based batch executor (created on first use)."""
         if self._executor is None:
             on_commit = (
                 self._durability.on_batch_commit
                 if self._durability is not None
                 else None
             )
-            if self.workers > 1 and self.spec.shardable:
-                self._executor = ShardedExecutor(
-                    self.structure,
-                    workers=self.workers,
-                    route_cache=self._route_cache,
-                    max_retries=self._max_retries,
-                    on_commit=on_commit,
-                    round_budget=self._round_budget,
-                )
-            else:
-                self._executor = BatchExecutor(
-                    self.structure,
-                    route_cache=self._route_cache,
-                    max_retries=self._max_retries,
-                    on_commit=on_commit,
-                    round_budget=self._round_budget,
-                )
+            self._executor = BatchExecutor(
+                self.structure,
+                route_cache=self._route_cache,
+                max_retries=self._max_retries,
+                on_commit=on_commit,
+                round_budget=self._round_budget,
+            )
         return self._executor
 
     @property
@@ -934,7 +883,6 @@ class Cluster:
             "structure": self.spec.name,
             "seed": self.seed,
             "mode": self.mode,
-            "workers": self.workers,
             "hosts": self._hosts,
             "memory_size": self._memory_size,
             "max_retries": self._max_retries,
@@ -964,7 +912,6 @@ class Cluster:
         cluster = cls.__new__(cls)
         cluster.spec = resolve_structure(structure_name)
         cluster.mode = config["mode"]
-        cluster.workers = config["workers"]
         cluster.seed = config["seed"]
         cluster._hosts = config["hosts"]
         cluster._memory_size = config["memory_size"]
@@ -1110,7 +1057,6 @@ class Cluster:
                 memory_size=create["memory_size"],
                 seed=create["seed"],
                 mode=create["mode"],
-                workers=create["workers"],
                 topology=topology_from_config(create.get("topology")),
                 faults=faults_from_config(create.get("faults")),
                 round_budget=create.get("round_budget"),

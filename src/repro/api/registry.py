@@ -60,13 +60,6 @@ class StructureSpec:
         hash-based overlays — the paper's §1.2 point about Chord).
     supports_updates:
         Whether ``insert_steps`` / ``delete_steps`` can ever succeed.
-    shardable:
-        Whether read-only batches on this family may run under the
-        multi-worker :class:`repro.engine.sharded.ShardedExecutor`.
-        ``True`` for every built-in family (their query paths never
-        mutate shared state); a future family whose reads rebalance or
-        cache inside the structure should register ``False`` so
-        ``Cluster(workers=N)`` keeps it on the serial path.
     durable:
         Whether this family round-trips through :mod:`repro.storage`
         snapshots and deterministic log replay (``Cluster(storage=...)``).
@@ -85,7 +78,6 @@ class StructureSpec:
     bulk_factory: StructureFactory | None = None
     supports_range: bool = True
     supports_updates: bool = True
-    shardable: bool = True
     durable: bool = True
     description: str = ""
     extras: dict[str, Any] = field(default_factory=dict)

@@ -134,19 +134,16 @@ def _run_units(units: Sequence[Callable[[], list[Row]]]) -> list[list[Row]]:
     method — or a worker that dies — fall back to in-process execution,
     so the rows never depend on the platform.
     """
+    import multiprocessing
     import os
-
-    from repro.engine.sharded import fork_available
 
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
     # On a single CPU the forks would only add setup cost — stay serial.
-    if len(units) < 2 or cpus < 2 or not fork_available():
+    if len(units) < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [unit() for unit in units]
-    import multiprocessing
-
     ctx = multiprocessing.get_context("fork")
     workers = []
     for unit in units:

@@ -26,7 +26,7 @@ between the two routes.
 
 ``structures`` lists the :mod:`repro.api` registry — every structure
 family constructible via ``Cluster(structure=<name>)`` — with its
-capability flags (range, updates, bulk-load, shardable, durable) as
+capability flags (range, updates, bulk-load, durable) as
 columns; the experiments themselves are re-plumbed through that same
 façade, so the registry listing is also an index into what the
 experiments deploy.
@@ -220,15 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="structure family the workload deploys (default skipweb1d; "
         "see the 'structures' experiment for the registry)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run read-only batches through the sharded multi-worker executor "
-        "with N fork workers (counters stay identical to serial runs; "
-        "mutating batches and churn remain serial)",
     )
     serving = parser.add_argument_group("serving ('serve' and 'hammer' only)")
     serving.add_argument(
@@ -451,8 +442,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             "generate": {"kind": "uniform", "count": args.items, "seed": args.seed},
             "seed": args.seed,
         }
-        if args.workers is not None:
-            spec["workers"] = args.workers
     app = create_app(initial=[spec])
     where = f"http://{args.host}:{args.port}" if args.port else f"{args.host}:<os-assigned>"
     print(
@@ -545,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Capability flags are real booleans in the machine-readable
         # formats (JSON true/false, CSV True/False); only the aligned
         # table renders them as yes/no for human eyes.
-        flags = ("range", "updates", "bulk_load", "shardable", "durable")
+        flags = ("range", "updates", "bulk_load", "durable")
         rows = [
             {
                 "structure": name,
@@ -553,7 +542,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "range": spec.supports_range,
                 "updates": spec.supports_updates,
                 "bulk_load": spec.bulk_factory is not None,
-                "shardable": spec.shardable,
                 "durable": spec.durable,
                 "description": spec.description,
             }
@@ -579,10 +567,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.kill_after is not None and args.save is None:
             parser.error("--kill-after requires --save (nothing would survive)")
         return _run_workload(args)
-    if args.workers is not None:
-        from repro.api.cluster import set_default_workers
-
-        set_default_workers(args.workers)
     with tracing_mode() if args.trace else nullcontext():
         if args.experiment == "all":
             for name in sorted(EXPERIMENTS):

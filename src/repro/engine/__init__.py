@@ -33,7 +33,6 @@ from repro.engine.steps import (
 from repro.engine.protocol import DistributedStructure
 from repro.engine.executor import BatchExecutor, BatchResult, Operation, OpOutcome
 from repro.engine.repair import MigrationSummary, RepairEngine, RepairResult
-from repro.engine.sharded import ShardedExecutor, fork_available
 
 __all__ = [
     "MigrationSummary",
@@ -51,8 +50,6 @@ __all__ = [
     "DistributedStructure",
     "BatchExecutor",
     "BatchResult",
-    "ShardedExecutor",
-    "fork_available",
     "Operation",
     "OpOutcome",
 ]

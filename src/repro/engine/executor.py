@@ -334,7 +334,7 @@ class BatchExecutor:
         epoch moves (join, leave, crash, recover) or the structure
         declares a different list (repair, an update that changes which
         hosts hold roots).  The one place default origins come from — the
-        sharded executor and the façade's immediate mode read it too.
+        façade's immediate mode reads it too.
         Callers index the returned list and never mutate it.
         """
         declared = self.structure.origin_hosts()

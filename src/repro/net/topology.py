@@ -118,7 +118,7 @@ class ClusteredTopology(Topology):
 
     Hosts are assigned round-robin by id (``host % clusters``), which is
     stable under churn: a host's cluster never depends on who joined or
-    left before it, so serial, sharded and recovered runs all agree.
+    left before it, so live and recovered runs agree.
     """
 
     kind = "clustered"

@@ -6,7 +6,7 @@ The service layer is a thin, honest shell around :class:`repro.api.Cluster`:
   flat session table.  Cluster specs arrive as JSON dicts (the body of
   ``POST /clusters``) and build ordinary façade clusters — same registry,
   same knobs (``structure`` / ``topology`` / ``faults`` / ``storage`` by
-  path / ``workers`` / ``round_budget``), so a served deployment is
+  path / ``round_budget``), so a served deployment is
   byte-identical to a locally constructed one.
 * :class:`ServedCluster` wraps one cluster behind a **serialization
   lock**: every operation, batch, churn verb and dashboard read acquires
@@ -51,7 +51,6 @@ _SPEC_KEYS = frozenset(
         "hosts",
         "memory_size",
         "mode",
-        "workers",
         "topology",
         "faults",
         "round_budget",
@@ -273,7 +272,6 @@ class ServedCluster:
             "name": self.name,
             "structure": stats["structure"],
             "mode": self.cluster.mode,
-            "workers": self.cluster.workers,
             "seed": self.cluster.seed,
             "items_loaded": self.items_loaded,
             "topology": (
@@ -352,7 +350,7 @@ class ClusterManager:
             "topology": spec.get("topology"),
             "round_budget": spec.get("round_budget"),
         }
-        for key in ("hosts", "memory_size", "workers", "max_retries", "storage", "snapshot_every"):
+        for key in ("hosts", "memory_size", "max_retries", "storage", "snapshot_every"):
             if spec.get(key) is not None:
                 kwargs[key] = spec[key]
         kwargs.update(spec.get("options") or {})

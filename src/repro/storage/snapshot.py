@@ -107,8 +107,8 @@ def capture_snapshot(
     ``upto`` is the log position the snapshot covers (recovery replays
     records from there); ``actions`` counts the action records applied,
     for progress reporting.  ``config`` is the façade configuration
-    needed to resume operating the restored state (mode, workers,
-    churn settings, factory options); it rides inside the pickle since
+    needed to resume operating the restored state (mode, churn
+    settings, factory options); it rides inside the pickle since
     factory options may hold non-JSON values.
     """
     blob = pickle.dumps(

@@ -1,4 +1,4 @@
-"""Tests for the ``repro.api`` façade: registry, Cluster, handles, shims."""
+"""Tests for the ``repro.api`` façade: registry, Cluster, handles."""
 
 import random
 import warnings
@@ -13,7 +13,6 @@ from repro.api import (
     resolve_structure,
     structure_specs,
 )
-from repro.api.compat import build_churn_controller, build_executor, build_structure
 from repro.baselines import ChordDHT, DistributedOrderedStructure, SkipGraph
 from repro.engine import BatchExecutor, DistributedStructure
 from repro.errors import StructureError
@@ -328,27 +327,7 @@ class TestFacadeEqualsDirect:
             )
 
 
-class TestDeprecationShims:
-    def test_build_structure_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="Cluster"):
-            web = build_structure("skipweb1d", KEYS, seed=3)
-        assert isinstance(web, SkipWeb1D)
-        assert web.nearest(KEYS[0]).answer.exact
-
-    def test_build_executor_warns_and_works(self):
-        web = SkipWeb1D(KEYS, seed=3)
-        with pytest.warns(DeprecationWarning, match="Cluster.batch"):
-            executor = build_executor(web)
-        result = executor.run([Operation("search", KEYS[0])])
-        assert result.completed == 1
-
-    def test_build_churn_controller_warns_and_works(self):
-        web = SkipWeb1D(KEYS, seed=3)
-        with pytest.warns(DeprecationWarning, match="join_host"):
-            controller = build_churn_controller(web, rng=random.Random(1))
-        event = controller.join()
-        assert event.kind == "join"
-
+class TestNoDeprecations:
     def test_new_code_path_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -382,18 +361,16 @@ class TestAliveOrigins:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(), dict(workers=2), dict(mode="immediate")],
-        ids=["serial", "workers-2", "immediate"],
+        [dict(), dict(mode="immediate")],
+        ids=["serial", "immediate"],
     )
     def test_every_membership_change_is_seen_by_the_next_call(self, kwargs):
-        with ledger_mode():  # the substrate on which workers=2 really forks
+        with ledger_mode():
             cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3, **kwargs)
         self._assert_origins(cluster, "fresh")
         joined = cluster.join_host().host
         assert joined in self._expected(cluster)
         self._assert_origins(cluster, "join")
-        if "workers" in kwargs:
-            assert cluster.executor.last_fallback_reason is None
         first = self._expected(cluster)[0]
         cluster.leave_host(first)
         assert first not in self._expected(cluster)

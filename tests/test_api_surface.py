@@ -30,8 +30,6 @@ EXPECTED_ALL = [
     "resolve_structure",
     "available_structures",
     "structure_specs",
-    "set_default_workers",
-    "default_workers",
     "Topology",
     "FlatTopology",
     "ClusteredTopology",
@@ -62,7 +60,7 @@ EXPECTED_SIGNATURES = {
     "Cluster.__init__": (
         "(self, structure: 'str' = 'skipweb1d', items: 'Sequence[Any] | None' = None, "
         "*, hosts: 'int | None' = None, memory_size: 'int | None' = None, "
-        "seed: 'int' = 0, mode: 'str' = 'batched', workers: 'int | None' = None, network: 'Network | None' = None, "
+        "seed: 'int' = 0, mode: 'str' = 'batched', network: 'Network | None' = None, "
         "topology: \"'Topology | str | None'\" = None, "
         "faults: \"'FaultPlan | str | Mapping[str, Any] | None'\" = None, "
         "round_budget: 'int | None' = None, "
@@ -126,8 +124,6 @@ EXPECTED_SIGNATURES = {
         "(spec: \"'str | FaultRule | Sequence[FaultRule] | FaultPlan | None'\", "
         "seed: 'int' = 0) -> 'FaultPlan | None'"
     ),
-    "set_default_workers": "(workers: 'int') -> 'None'",
-    "default_workers": "() -> 'int'",
     "resolve_structure": "(name: 'str') -> 'StructureSpec'",
     "available_structures": "() -> 'list[str]'",
     "structure_specs": "() -> 'dict[str, StructureSpec]'",

@@ -26,7 +26,7 @@ import random
 import pytest
 
 from repro.api import Cluster, FaultPlan, FaultRule, resolve_faults
-from repro.engine.sharded import ShardedExecutor
+from repro.engine import BatchExecutor
 from repro.errors import (
     ChurnError,
     FaultInjectedError,
@@ -382,19 +382,19 @@ class TestClusterResilience:
         assert cluster.faults.rules == (drop(0.05, message_kind="query"),)
         assert report.summary()["completed"] == len(QUERIES)
 
-    def test_sharded_executor_declares_serial_fallback(self):
-        with ledger_mode():
-            chaotic = Cluster(
-                "skipweb1d", KEYS, seed=7, workers=2, faults=FaultPlan([drop(0.1)], seed=7)
-            )
-            assert isinstance(chaotic.executor, ShardedExecutor)
-            chaotic.batch([("search", QUERIES[0])])
-            assert "fault plan" in chaotic.executor.last_fallback_reason
+    def test_fault_plan_runs_on_the_batch_executor(self):
+        cluster, report = self._batch(FaultPlan([drop(0.1)], seed=7))
+        assert type(cluster.executor) is BatchExecutor
+        assert cluster.executor.network is cluster.network
+        assert cluster.network.faults.rules == (drop(0.1),)
+        assert report.summary()["completed"] == len(QUERIES)
 
-            budgeted = Cluster("skipweb1d", KEYS, seed=7, workers=2, round_budget=50)
-            assert isinstance(budgeted.executor, ShardedExecutor)
-            budgeted.batch([("search", QUERIES[0])])
-            assert "round budget" in budgeted.executor.last_fallback_reason
+    def test_round_budget_runs_on_the_batch_executor(self):
+        cluster, report = self._batch(None, round_budget=50)
+        assert type(cluster.executor) is BatchExecutor
+        assert cluster.executor.round_budget == 50
+        assert report.summary()["completed"] == len(QUERIES)
+        assert report.rounds <= 50
 
 
 class TestChurnRecover:

@@ -19,11 +19,8 @@ These tests pin that contract:
 * an update recomputes at most twice as many records as actually change;
 * the network-level caches (alive hosts, round reports) change no
   observable number while bounding memory;
-* the sharded multi-worker executor (``Cluster(workers=N)``) produces
-  results, per-operation stats, congestion aggregates and deployment
-  snapshots identical to a serial run, for every structure family;
 * the fault-injection seam (``Cluster(faults=...)``) is invisible when
-  left off: ``faults=None`` — implicit or explicit, serial or sharded —
+  left off: ``faults=None`` — implicit or explicit —
   reproduces every observable number and records zero fault tallies,
   for every structure family.
 """
@@ -38,8 +35,9 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Cluster
 from repro.api.registry import structure_specs
 from repro.baselines import ChordDHT, SkipGraph
-from repro.engine.sharded import ShardedExecutor, fork_available
 from repro.core.skipweb import SkipWeb
+from repro.engine import BatchExecutor
+from repro.errors import StructureError
 from repro.bench.experiments import (
     churn,
     congestion_rounds,
@@ -703,174 +701,66 @@ class TestNetworkCaches:
 #: Read-only batch scenarios for every registered family: constructor
 #: items, extra Cluster kwargs, a list of search payloads, and (where the
 #: family answers them) one range payload.
-_SHARD_KEYS = uniform_keys(32, seed=21)
-_SHARD_POINTS = uniform_points(24, dimension=2, seed=21)
-_SHARD_READS = dna_reads(20, seed=21)
-_SHARD_SEGMENTS = non_crossing_segments(12, seed=21)
+_FAMILY_KEYS = uniform_keys(32, seed=21)
+_FAMILY_POINTS = uniform_points(24, dimension=2, seed=21)
+_FAMILY_READS = dna_reads(20, seed=21)
+_FAMILY_SEGMENTS = non_crossing_segments(12, seed=21)
 
-SHARD_SCENARIOS = {
+FAMILY_SCENARIOS = {
     "skipweb1d": dict(
-        items=_SHARD_KEYS,
+        items=_FAMILY_KEYS,
         kwargs={},
         searches=uniform_keys(18, seed=22),
         range=(0.0, 500_000.0),
     ),
     "bucket-skipweb1d": dict(
-        items=_SHARD_KEYS,
+        items=_FAMILY_KEYS,
         kwargs={"memory_size": 16},
         searches=uniform_keys(18, seed=22),
         range=(0.0, 500_000.0),
     ),
     "skipquadtree": dict(
-        items=_SHARD_POINTS,
+        items=_FAMILY_POINTS,
         kwargs={"bounding_cube": HyperCube((0.0, 0.0), 1.0)},
         searches=[tuple(point) for point in uniform_points(14, dimension=2, seed=23)],
         range=None,
     ),
     "skiptrie": dict(
-        items=_SHARD_READS,
+        items=_FAMILY_READS,
         kwargs={"alphabet": DNA},
-        searches=[read[: 3 + index % 5] for index, read in enumerate(_SHARD_READS[:14])],
+        searches=[read[: 3 + index % 5] for index, read in enumerate(_FAMILY_READS[:14])],
         range=None,
     ),
     "skiptrapezoid": dict(
-        items=_SHARD_SEGMENTS,
+        items=_FAMILY_SEGMENTS,
         kwargs={},
         searches=[
             (segment.left[0] + 0.25, segment.left[1] + 0.25)
-            for segment in _SHARD_SEGMENTS[:10]
+            for segment in _FAMILY_SEGMENTS[:10]
         ],
         range=None,
     ),
     "skipgraph": dict(
-        items=_SHARD_KEYS,
+        items=_FAMILY_KEYS,
         kwargs={},
         searches=uniform_keys(18, seed=22),
         range=(0.0, 500_000.0),
     ),
-    "skipnet": dict(items=_SHARD_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None),
+    "skipnet": dict(items=_FAMILY_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None),
     "non-skipgraph": dict(
-        items=_SHARD_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
+        items=_FAMILY_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
     ),
     "family-tree": dict(
-        items=_SHARD_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
+        items=_FAMILY_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
     ),
     "det-skipnet": dict(
-        items=_SHARD_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
+        items=_FAMILY_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
     ),
     "bucket-skipgraph": dict(
-        items=_SHARD_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
+        items=_FAMILY_KEYS, kwargs={}, searches=uniform_keys(18, seed=22), range=None
     ),
-    "chord": dict(items=_SHARD_KEYS, kwargs={}, searches=list(_SHARD_KEYS[:14]), range=None),
+    "chord": dict(items=_FAMILY_KEYS, kwargs={}, searches=list(_FAMILY_KEYS[:14]), range=None),
 }
-
-
-class TestShardedEquivalence:
-    """``Cluster(workers=N)`` changes no observable number, ever.
-
-    The sharded executor's contract (ISSUE: zero counted-message drift)
-    is that a read-only batch run across fork workers is *accounting-
-    identical* to the same batch run serially: every
-    :class:`~repro.api.results.OperationHandle` field, the batch's round
-    and message totals, the per-round congestion reports, the session
-    congestion aggregates, and the cluster's lifetime deployment
-    snapshot.  The sweep below pins all of it for every registered
-    structure family and ``workers ∈ {1, 2, 4}``.
-    """
-
-    @staticmethod
-    def _run_batch(name, workers):
-        # Sharding requires the ledger substrate (the benchmarks' and the
-        # CLI's default); under tracing it transparently stays serial.
-        with ledger_mode():
-            scenario = SHARD_SCENARIOS[name]
-            cluster = Cluster(
-                structure=name,
-                items=scenario["items"],
-                seed=21,
-                workers=workers,
-                **scenario["kwargs"],
-            )
-            operations = [("search", payload) for payload in scenario["searches"]]
-            if scenario["range"] is not None:
-                operations.append(("range", scenario["range"]))
-            report = cluster.batch(operations)
-        return cluster, report
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("name", sorted(SHARD_SCENARIOS))
-    def test_every_family_matches_serial(self, name, workers):
-        serial_cluster, serial = self._run_batch(name, workers=1)
-        sharded_cluster, sharded = self._run_batch(name, workers=workers)
-
-        if workers > 1 and fork_available():
-            executor = sharded_cluster.executor
-            assert isinstance(executor, ShardedExecutor)
-            assert executor.last_fallback_reason is None, executor.last_fallback_reason
-
-        # Per-operation stats and values, in submission order.
-        assert len(serial) == len(sharded)
-        for left, right in zip(serial, sharded):
-            assert left.status == right.status
-            assert left.kind == right.kind
-            assert left.origin_host == right.origin_host
-            assert left.messages == right.messages
-            assert left.rounds == right.rounds
-            assert left.retries == right.retries
-            assert left.cache_hits == right.cache_hits
-            assert left.value == right.value
-            assert type(left.error) is type(right.error)
-
-        # Batch aggregates and per-round congestion.
-        assert serial.rounds == sharded.rounds
-        assert serial.messages == sharded.messages
-        assert serial.max_round_congestion == sharded.max_round_congestion
-        assert serial.summary() == sharded.summary()
-        assert serial.round_congestion().as_dict() == sharded.round_congestion().as_dict()
-        serial_reports = serial.raw.round_reports
-        sharded_reports = sharded.raw.round_reports
-        assert [
-            (report.index, report.delivered, report.max_load, report.max_load_host)
-            for report in serial_reports
-        ] == [
-            (report.index, report.delivered, report.max_load, report.max_load_host)
-            for report in sharded_reports
-        ]
-
-        # Lifetime deployment snapshots (construction + batch traffic).
-        assert serial_cluster.stats().as_dict() == sharded_cluster.stats().as_dict()
-
-    def test_mutating_batch_falls_back_and_says_so(self):
-        with ledger_mode():
-            cluster = Cluster(structure="skipweb1d", items=_SHARD_KEYS, seed=21, workers=2)
-            executor = cluster.executor
-            assert isinstance(executor, ShardedExecutor)
-            report = cluster.batch([("insert", 77.5), ("search", 123.0)])
-            assert report[0].ok and report[1].ok
-            assert executor.last_fallback_reason == "mutating operation kind 'insert'"
-
-    def test_failed_hosts_force_the_serial_path(self):
-        with ledger_mode():
-            cluster = Cluster(structure="skipweb1d", items=_SHARD_KEYS, seed=21, workers=2)
-            executor = cluster.executor
-            assert isinstance(executor, ShardedExecutor)
-            victim = next(
-                host
-                for host in cluster.network.alive_host_ids()
-                if host not in set(cluster.structure.origin_hosts()[:1])
-            )
-            cluster.network.fail_host(victim)
-            report = cluster.batch(
-                [("search", payload) for payload in uniform_keys(6, seed=24)]
-            )
-            assert executor.last_fallback_reason == "failed hosts present"
-            assert len(report) == 6
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            Cluster(structure="skipweb1d", items=_SHARD_KEYS, seed=21, workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            ShardedExecutor(Cluster("skipweb1d", _SHARD_KEYS, seed=21).structure, workers=0)
 
 
 class TestFaultFreeIdentity:
@@ -881,14 +771,14 @@ class TestFaultFreeIdentity:
     to exist: a cluster that never opted in must be byte-identical to
     one built before the subsystem landed.  The sweep pins per-operation
     stats, batch aggregates, round reports, deployment snapshots and the
-    (all-zero) fault tallies across the no-kwarg, explicit
-    ``faults=None`` and ``workers=2, faults=None`` spellings.
+    (all-zero) fault tallies across the no-kwarg and explicit
+    ``faults=None`` spellings.
     """
 
     @staticmethod
     def _run_batch(name, **extra):
         with ledger_mode():
-            scenario = SHARD_SCENARIOS[name]
+            scenario = FAMILY_SCENARIOS[name]
             cluster = Cluster(
                 structure=name,
                 items=scenario["items"],
@@ -902,30 +792,25 @@ class TestFaultFreeIdentity:
             report = cluster.batch(operations)
         return cluster, report
 
-    @pytest.mark.parametrize("name", sorted(SHARD_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_matches_implicit_default(self, name):
         implicit_cluster, implicit = self._run_batch(name)
         explicit_cluster, explicit = self._run_batch(name, faults=None)
-        sharded_cluster, sharded = self._run_batch(name, faults=None, workers=2)
 
-        for cluster, report in (
-            (explicit_cluster, explicit),
-            (sharded_cluster, sharded),
-        ):
-            assert cluster.faults is None
-            assert len(report) == len(implicit)
-            for left, right in zip(implicit, report):
-                assert left.status == right.status
-                assert left.messages == right.messages
-                assert left.rounds == right.rounds
-                assert left.retries == right.retries
-                assert left.value == right.value
-            assert report.summary() == implicit.summary()
-            assert report.rounds == implicit.rounds
-            assert report.messages == implicit.messages
-            assert cluster.stats().as_dict() == implicit_cluster.stats().as_dict()
-            log = cluster.network.message_log
-            assert (log.dropped, log.duplicated, log.delayed) == (0, 0, 0)
+        assert explicit_cluster.faults is None
+        assert len(explicit) == len(implicit)
+        for left, right in zip(implicit, explicit):
+            assert left.status == right.status
+            assert left.messages == right.messages
+            assert left.rounds == right.rounds
+            assert left.retries == right.retries
+            assert left.value == right.value
+        assert explicit.summary() == implicit.summary()
+        assert explicit.rounds == implicit.rounds
+        assert explicit.messages == implicit.messages
+        assert explicit_cluster.stats().as_dict() == implicit_cluster.stats().as_dict()
+        log = explicit_cluster.network.message_log
+        assert (log.dropped, log.duplicated, log.delayed) == (0, 0, 0)
         # No fault plan ⇒ the new summary keys never materialise.
         assert "timed_out" not in implicit.summary()
         assert "gave_up" not in implicit.summary()
@@ -934,8 +819,8 @@ class TestFaultFreeIdentity:
 class TestFlatTopologyIdentity:
     """An explicit ``FlatTopology`` changes no pre-refactor counter.
 
-    The topology seam's contract mirrors the ledger's and the sharded
-    executor's: invisible until you opt in.  A cluster constructed with
+    The topology seam's contract mirrors the ledger's: invisible until
+    you opt in.  A cluster constructed with
     ``topology="flat"`` must reproduce every observable number of a
     cluster constructed without a topology — per-operation stats, batch
     aggregates, congestion reports, lifetime deployment snapshots — for
@@ -947,7 +832,7 @@ class TestFlatTopologyIdentity:
     @staticmethod
     def _run_batch(name, topology):
         with ledger_mode():
-            scenario = SHARD_SCENARIOS[name]
+            scenario = FAMILY_SCENARIOS[name]
             cluster = Cluster(
                 structure=name,
                 items=scenario["items"],
@@ -961,7 +846,7 @@ class TestFlatTopologyIdentity:
             report = cluster.batch(operations)
         return cluster, report
 
-    @pytest.mark.parametrize("name", sorted(SHARD_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_matches_implicit_default(self, name):
         default_cluster, default = self._run_batch(name, None)
         flat_cluster, flat = self._run_batch(name, "flat")
@@ -997,30 +882,157 @@ class TestFlatTopologyIdentity:
 
         assert default_cluster.stats().as_dict() == flat_cluster.stats().as_dict()
 
-    @pytest.mark.parametrize("topology", ["clustered", "geo"])
-    def test_sharded_matches_serial_under_weighted_topology(self, topology):
-        def run(workers):
-            with ledger_mode():
-                cluster = Cluster(
-                    structure="skipweb1d",
-                    items=_SHARD_KEYS,
-                    seed=21,
-                    workers=workers,
-                    topology=topology,
-                )
-                report = cluster.batch(
-                    [("search", payload) for payload in SHARD_SCENARIOS["skipweb1d"]["searches"]]
-                )
-            return cluster, report
 
-        serial_cluster, serial = run(1)
-        sharded_cluster, sharded = run(2)
-        assert [handle.latency for handle in serial] == [
-            handle.latency for handle in sharded
-        ]
-        assert serial.latency == sharded.latency > serial.messages
-        assert serial.round_congestion().as_dict() == sharded.round_congestion().as_dict()
-        assert (
-            serial_cluster.network.topology_congestion_summary()
-            == sharded_cluster.network.topology_congestion_summary()
+def _run_family_batch(name, **extra):
+    """Build ``name``'s scenario cluster and run its read-only batch."""
+    scenario = FAMILY_SCENARIOS[name]
+    cluster = Cluster(
+        structure=name,
+        items=scenario["items"],
+        seed=21,
+        **scenario["kwargs"],
+        **extra,
+    )
+    operations = [("search", payload) for payload in scenario["searches"]]
+    if scenario["range"] is not None:
+        operations.append(("range", scenario["range"]))
+    return cluster, operations, cluster.batch(operations)
+
+
+def _handle_fields(report):
+    return [
+        (
+            handle.status,
+            handle.kind,
+            handle.origin_host,
+            handle.messages,
+            handle.rounds,
+            handle.retries,
+            handle.cache_hits,
+            handle.latency,
+            handle.value,
+            type(handle.error),
         )
+        for handle in report
+    ]
+
+
+def _round_fields(report):
+    return [
+        (
+            round_report.index,
+            round_report.delivered,
+            round_report.max_load,
+            round_report.max_load_host,
+        )
+        for round_report in report.raw.round_reports
+    ]
+
+
+class TestSerialBatchContract:
+    """The one batch executor's observable numbers, for every family.
+
+    ``Cluster.batch`` runs through a single :class:`BatchExecutor`; the
+    sweeps below pin that its per-operation stats, batch aggregates,
+    per-round congestion and lifetime deployment snapshots do not depend
+    on the message substrate (ledger or traced), are reproducible from
+    the seed alone, and that a batch answers each read exactly as the
+    same read issued on its own from the same origin host does.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
+    def test_every_family_matches_traced(self, name):
+        with ledger_mode():
+            ledger_cluster, _, ledger = _run_family_batch(name)
+        with tracing_mode():
+            traced_cluster, _, traced = _run_family_batch(name)
+
+        assert _handle_fields(ledger) == _handle_fields(traced)
+        assert ledger.rounds == traced.rounds
+        assert ledger.messages == traced.messages
+        assert ledger.max_round_congestion == traced.max_round_congestion
+        assert ledger.summary() == traced.summary()
+        assert ledger.round_congestion().as_dict() == traced.round_congestion().as_dict()
+        assert _round_fields(ledger) == _round_fields(traced)
+        assert ledger_cluster.stats().as_dict() == traced_cluster.stats().as_dict()
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
+    def test_every_family_is_reproducible_from_the_seed(self, name):
+        with ledger_mode():
+            first_cluster, _, first = _run_family_batch(name)
+            second_cluster, _, second = _run_family_batch(name)
+
+        assert all(handle.ok for handle in first)
+        assert _handle_fields(first) == _handle_fields(second)
+        assert first.summary() == second.summary()
+        assert _round_fields(first) == _round_fields(second)
+        assert first_cluster.stats().as_dict() == second_cluster.stats().as_dict()
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
+    def test_every_family_batch_values_match_single_calls(self, name):
+        with ledger_mode():
+            batch_cluster, operations, batched = _run_family_batch(name)
+            scenario = FAMILY_SCENARIOS[name]
+            single_cluster = Cluster(
+                structure=name, items=scenario["items"], seed=21, **scenario["kwargs"]
+            )
+            singles = [
+                (single_cluster.get if kind == "search" else single_cluster.range)(
+                    payload, origin_host=handle.origin_host
+                )
+                for (kind, payload), handle in zip(operations, batched)
+            ]
+
+        assert isinstance(batch_cluster.executor, BatchExecutor)
+        assert len(batched) == len(singles)
+        for batched_handle, single_handle in zip(batched, singles):
+            assert batched_handle.status == single_handle.status == "ok"
+            assert batched_handle.kind == single_handle.kind
+            assert batched_handle.value == single_handle.value
+
+    @pytest.mark.parametrize("topology", ["clustered", "geo"])
+    def test_weighted_topology_matches_traced(self, topology):
+        with ledger_mode():
+            ledger_cluster, _, ledger = _run_family_batch("skipweb1d", topology=topology)
+        with tracing_mode():
+            traced_cluster, _, traced = _run_family_batch("skipweb1d", topology=topology)
+
+        assert _handle_fields(ledger) == _handle_fields(traced)
+        assert ledger.latency == traced.latency > ledger.messages
+        assert ledger.round_congestion().as_dict() == traced.round_congestion().as_dict()
+        assert (
+            ledger_cluster.network.topology_congestion_summary()
+            == traced_cluster.network.topology_congestion_summary()
+        )
+
+    def test_mixed_batch_applies_its_updates(self):
+        with ledger_mode():
+            cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
+            report = cluster.batch([("insert", 77.5), ("search", 123.0)])
+            assert report[0].ok and report[1].ok
+            assert 77.5 in cluster.structure.keys
+            assert cluster.get(77.5).value.answer.exact
+            assert cluster.delete(77.5).ok
+            assert 77.5 not in cluster.structure.keys
+            cluster.structure.web.validate()
+
+    def test_failed_host_batch_answers_every_operation(self):
+        with ledger_mode():
+            cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
+            origins = set(cluster.structure.origin_hosts()[:1])
+            victim = next(
+                host for host in cluster.network.alive_host_ids() if host not in origins
+            )
+            cluster.network.fail_host(victim)
+            report = cluster.batch(
+                [("search", payload) for payload in uniform_keys(6, seed=24)]
+            )
+        assert len(report) == 6
+        assert all(handle.status in {"ok", "failed"} for handle in report)
+        assert victim not in cluster.network.alive_host_ids()
+
+    def test_cluster_rejects_the_retired_workers_keyword(self):
+        # The executor has no worker pool: the old keyword reaches the
+        # structure factory and is rejected like any unknown option.
+        with pytest.raises(StructureError, match="workers"):
+            Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21, workers=2)

@@ -181,6 +181,14 @@ class TestClusters:
         code, body, _ = call(app, "POST", "/clusters", body={"name": "x"})
         assert code == 400 and "items" in body["message"]
 
+    def test_retired_workers_key_is_an_unknown_spec_key(self, app):
+        spec = {"name": "w", "items": [1.0, 2.0], "workers": 2}
+        code, body, _ = call(app, "POST", "/clusters", body=spec)
+        assert (code, body["error"]) == (400, "ValueError")
+        assert body["message"].startswith("unknown cluster spec key(s) ['workers']")
+        code, _, _ = call(app, "GET", "/clusters/w")
+        assert code == 404
+
     def test_duplicate_name_is_rejected(self, app):
         code, body, _ = call(app, "POST", "/clusters", body={"name": "default", "items": [1.0]})
         assert code == 400 and "already exists" in body["message"]

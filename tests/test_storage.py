@@ -101,6 +101,21 @@ class TestKillAndRecoverEveryFamily:
         resumed = report_json(resume_workload(store))
         assert resumed == baseline
 
+    def test_crash_and_recover_jsonl_with_snapshots(self, tmp_path):
+        steps = 6
+        baseline = report_json(
+            run_workload(
+                "skipweb1d", steps=steps, seed=SEED, storage=str(tmp_path / "a.jsonl")
+            )
+        )
+        store = str(tmp_path / "b.jsonl")
+        _partial_workload("skipweb1d", store, 4, steps, snapshot_every=2)
+        backend = open_storage(store)
+        assert backend.latest_snapshot() is not None
+        backend.close()
+        resumed = report_json(resume_workload(store))
+        assert resumed == baseline
+
     def test_recovery_after_torn_tail_trim(self, tmp_path):
         steps = 5
         baseline = report_json(
@@ -118,66 +133,51 @@ class TestKillAndRecoverEveryFamily:
         assert resumed == baseline
 
 
-class TestShardedDurability:
-    """Storage × sharded interplay: ``recover()`` under ``Cluster(workers=N)``.
+class TestRetiredConfigKeys:
+    """Stores written with the retired ``workers`` key still recover.
 
-    The multi-worker executor must not perturb durability: a run whose
-    read-only batches fork through :class:`~repro.engine.sharded.ShardedExecutor`
-    journals the same records — and recovers to the same report — as the
-    serial executor, killed or not.
+    Older builds recorded a ``workers`` count in the journal's create
+    record and in every snapshot's config.  Recovery must ignore the key
+    and land on the state a store without it recovers to.
     """
 
-    def _sharded(self, fn):
-        from repro.api.cluster import set_default_workers
-
-        set_default_workers(2)
-        try:
-            return fn()
-        finally:
-            set_default_workers(1)
-
-    def test_kill_and_recover_sharded_is_byte_identical(self, tmp_path):
-        steps = 6
-        baseline = report_json(
-            run_workload(
-                "skipweb1d", steps=steps, seed=SEED, storage=str(tmp_path / "a.jsonl")
-            )
-        )
-        store = str(tmp_path / "b.jsonl")
-        self._sharded(lambda: _partial_workload("skipweb1d", store, 3, steps))
-        resumed = self._sharded(lambda: report_json(resume_workload(store)))
-        assert resumed == baseline
-
-    def test_kill_and_recover_sharded_through_snapshot(self, tmp_path):
-        steps = 6
-        baseline = report_json(
-            run_workload(
-                "skipweb1d", steps=steps, seed=SEED, storage=str(tmp_path / "a.db")
-            )
-        )
-        store = str(tmp_path / "b.db")
-        self._sharded(
-            lambda: _partial_workload("skipweb1d", store, 4, steps, snapshot_every=2)
-        )
-        # Resume under serial defaults: the create record carries the
-        # worker count, so recovery replays on the sharded path anyway.
-        resumed = report_json(resume_workload(store))
-        assert resumed == baseline
-
-    def test_recover_restores_worker_count(self, tmp_path):
-        store = str(tmp_path / "log.jsonl")
+    @staticmethod
+    def _run(store):
         cluster = Cluster(
-            structure="skipweb1d", items=KEYS, seed=3, storage=store, workers=2
+            structure="skipweb1d", items=KEYS, seed=3, storage=store, snapshot_every=2
         )
         cluster.batch([("search", float(i)) for i in range(8)])
         cluster.batch([("insert", 1.5)])
-        digest = content_digest(cluster.structure)
-        messages = cluster.network.total_messages
+        cluster.batch([("delete", KEYS[0])])
         cluster.close()
-        recovered = Cluster.recover(store)
-        assert recovered.workers == 2
-        assert content_digest(recovered.structure) == digest
-        assert recovered.network.total_messages == messages
+
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
+    def test_workers_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot):
+        plain, legacy = str(tmp_path / "plain.jsonl"), str(tmp_path / "legacy.jsonl")
+        self._run(plain)
+        create, config = Cluster._create_payload, Cluster._snapshot_config
+        monkeypatch.setattr(
+            Cluster, "_create_payload", lambda self, items: {**create(self, items), "workers": 2}
+        )
+        monkeypatch.setattr(
+            Cluster, "_snapshot_config", lambda self: {**config(self), "workers": 2}
+        )
+        self._run(legacy)
+        monkeypatch.undo()
+        backend = open_storage(legacy)
+        assert backend.records()[0].payload["workers"] == 2
+        assert backend.latest_snapshot() is not None
+        backend.close()
+        if not from_snapshot:
+            for store in (plain, legacy):
+                for name in os.listdir(store):
+                    if name != "log.jsonl":
+                        os.remove(os.path.join(store, name))
+        expected = Cluster.recover(plain)
+        recovered = Cluster.recover(legacy)
+        assert content_digest(recovered.structure) == content_digest(expected.structure)
+        assert recovered.stats().as_dict() == expected.stats().as_dict()
+        expected.close()
         recovered.close()
 
 
@@ -446,21 +446,39 @@ class TestCommitHooks:
         assert ops == tuple(operations)
         assert committed is result
 
-    def test_sharded_executor_fires_in_parent_only(self):
-        from repro.engine import Operation
-        from repro.engine.sharded import ShardedExecutor
+    def test_serial_executor_fires_for_read_only_and_mutating_batches(self):
+        from repro.engine import BatchExecutor, Operation
 
         web = SkipWeb1D(uniform_keys(32, seed=2), seed=2)
         calls = []
-        executor = ShardedExecutor(
-            web, workers=2, on_commit=lambda ops, result: calls.append(ops)
-        )
-        assert executor._serial.on_commit is None  # fallback must not double-fire
+        executor = BatchExecutor(web, on_commit=lambda ops, result: calls.append(ops))
         read_only = [Operation("search", float(i)) for i in range(8)]
         executor.run(read_only)
-        assert len(calls) == 1
-        executor.run([Operation("insert", 1.5)])  # falls back to serial
+        assert calls == [tuple(read_only)]
+        executor.run([Operation("insert", 1.5)])
         assert len(calls) == 2
+        assert calls[1] == (Operation("insert", 1.5),)
+        assert 1.5 in web.keys
+
+    def test_cluster_executor_commits_to_the_journal(self, tmp_path):
+        from repro.engine import BatchExecutor
+
+        cluster, _ = _journaled_cluster(tmp_path)
+        executor = cluster.executor
+        assert type(executor) is BatchExecutor
+        assert executor.on_commit == cluster._durability.on_batch_commit
+
+    def test_recover_restores_digest_and_counted_traffic(self, tmp_path):
+        cluster, store = _journaled_cluster(tmp_path)
+        cluster.batch([("search", float(i)) for i in range(8)])
+        cluster.batch([("insert", 1.5)])
+        digest = content_digest(cluster.structure)
+        messages = cluster.network.total_messages
+        cluster.close()
+        recovered = Cluster.recover(store)
+        assert content_digest(recovered.structure) == digest
+        assert recovered.network.total_messages == messages
+        recovered.close()
 
     def test_journaled_batches_replay_through_executor(self, tmp_path):
         cluster, store = _journaled_cluster(tmp_path)

@@ -1,7 +1,7 @@
 """Tests for ``repro.net.topology``: the pluggable link-cost layer.
 
 Covers the three layouts (flat, clustered, geo), the determinism
-guarantees the durability and sharding layers lean on, the network-level
+guarantees the durability layer leans on, the network-level
 weighted aggregates, the façade threading (``Cluster(topology=...)``),
 and the recovery guard that refuses a store whose snapshot and journal
 disagree about the layout.
