@@ -20,11 +20,16 @@ behind one constructor::
 Operation methods return :class:`~repro.api.results.OperationHandle`
 objects with a uniform ``status`` (``"ok"`` / ``"failed"`` /
 ``"unsupported"``); a batch isolates per-operation failures instead of
-raising mid-flight.  ``mode="immediate"`` drives single operations
-synchronously (the paper's one-at-a-time cost model, byte-identical to
-calling the structures directly); ``mode="batched"`` funnels even single
-operations through the round-based engine so their congestion is
-measured.
+raising mid-flight.  ``mode="batched"`` (the default) funnels even single
+operations through the round-based engine so their rounds and congestion
+are measured; a lone search, insert or delete there is one walk, one
+round per crossing, and costs what the immediate walk costs.
+``mode="immediate"`` drives single operations synchronously (the paper's
+one-at-a-time cost model, byte-identical to calling the structures
+directly); what still sets it apart is that a fault plan decides each
+send as it happens (a drop restarts the walk at once, not after backoff
+rounds) and that its singles are journaled as ``single`` records rather
+than as one-op batches.
 """
 
 from __future__ import annotations
@@ -562,8 +567,11 @@ class Cluster:
         for caller errors (unknown kinds, an empty cluster).
         """
         self._check_open()
-        normalized = [self._normalize(operation) for operation in operations]
-        result = self.executor.run(normalized)
+        return self._run_batch([self._normalize(operation) for operation in operations])
+
+    def _run_batch(self, operations: list[Operation]) -> BatchReport:
+        """Run already-normalized operations through the executor."""
+        result = self.executor.run(operations)
         handles = [
             self._classify(OperationHandle.from_outcome(outcome, index))
             for index, outcome in enumerate(result.outcomes)
@@ -622,7 +630,7 @@ class Cluster:
         self._check_open()
         kind = _canonical_kind(kind)
         if self.mode == "batched":
-            return self.batch([Operation(kind, payload, origin_host=origin_host)])[0]
+            return self._run_batch([Operation(kind, payload, origin_host=origin_host)])[0]
         origin = origin_host if origin_host is not None else self._default_origin()
         steps_of = {
             "search": self.structure.search_steps,

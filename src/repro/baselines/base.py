@@ -99,9 +99,11 @@ class DistributedOrderedStructure(abc.ABC):
         self.network = network if network is not None else Network()
         self._table_addresses: dict[HostId, Address] = {}
         self._host_of_key: dict[float, HostId] = {}
-        # Lazily-built inverse of _host_of_key (host -> one resident key),
-        # used to resolve batch origins in O(1); invalidated on updates.
+        # Lazily-built views of _host_of_key, dropped together by
+        # _owners_changed(): the inverse (host -> one resident key), which
+        # resolves batch origins in O(1), and origin_hosts()'s tuple.
         self._origin_index: dict[HostId, float] | None = None
+        self._origins: tuple[HostId, ...] | None = None
         #: CONSTRUCTION messages charged by a bulk-load build (0 otherwise).
         self.construction_messages = 0
         self._setup_hosts()
@@ -219,12 +221,17 @@ class DistributedOrderedStructure(abc.ABC):
                 return key
         return self._keys[0]
 
-    def _origin_index_lookup(self, origin_host: HostId) -> float | None:
-        """A key stored at ``origin_host``, via the cached inverse map.
+    def _owners_changed(self) -> None:
+        """Drop the views derived from ``_host_of_key``.
 
-        The cache is dropped in the same uninterrupted step as every
-        ``_host_of_key`` mutation (insert/delete), so it is never stale.
+        Called in the same uninterrupted step as every ``_host_of_key``
+        mutation (insert, delete, churn re-homing), so no view is stale.
         """
+        self._origin_index = None
+        self._origins = None
+
+    def _origin_index_lookup(self, origin_host: HostId) -> float | None:
+        """A key stored at ``origin_host``, via the cached inverse map."""
         if self._origin_index is None:
             index: dict[HostId, float] = {}
             for key, host in self._host_of_key.items():
@@ -384,7 +391,7 @@ class DistributedOrderedStructure(abc.ABC):
         self._keys = sorted(self._keys + [key])
         self._assign_new_key(key)
         self._after_ground_set_change()
-        self._origin_index = None
+        self._owners_changed()
         changed_count, changed_hosts = self._install_tables(charge_messages=True)
         messages = yield from self._charge_update(search, changed_hosts)
         return BaselineUpdateOutcome(
@@ -422,7 +429,7 @@ class DistributedOrderedStructure(abc.ABC):
         self._keys = [existing for existing in self._keys if existing != key]
         self._host_of_key.pop(key)
         self._after_ground_set_change()
-        self._origin_index = None
+        self._owners_changed()
         changed_count, changed_hosts = self._install_tables(charge_messages=True)
         messages = yield from self._charge_update(search, changed_hosts)
         return BaselineUpdateOutcome(
@@ -521,7 +528,7 @@ class DistributedOrderedStructure(abc.ABC):
         moved: int,
     ) -> StepGenerator:
         """Repair the routing tables and assemble the churn summary."""
-        self._origin_index = None
+        self._owners_changed()
         self._after_ground_set_change()
         changed_count, changed_hosts = self._install_tables(charge_messages=True)
         # Dropping a dead (or departed) host's table is pure bookkeeping —
@@ -596,9 +603,14 @@ class DistributedOrderedStructure(abc.ABC):
     # ------------------------------------------------------------------ #
     # DistributedStructure protocol (batched execution; see repro.engine)
     # ------------------------------------------------------------------ #
-    def origin_hosts(self) -> list[HostId]:
-        """Hosts that store at least one key (every search starts at a key)."""
-        return sorted(set(self._host_of_key.values()))
+    def origin_hosts(self) -> tuple[HostId, ...]:
+        """Hosts that store at least one key (every search starts at a key).
+
+        The same tuple until an update or churn step moves a key.
+        """
+        if self._origins is None:
+            self._origins = tuple(sorted(set(self._host_of_key.values())))
+        return self._origins
 
     def seed_roots(self, origin_host: HostId) -> StepGenerator:
         """Step generator returning ``origin_host``'s locally stored routing table."""

@@ -77,6 +77,7 @@ class ChordDHT:
         if needed > 0:
             self.network.add_hosts(needed)
         self._host_ids = [host.host_id for host in self.network.hosts()]
+        self._origins = tuple(self._host_ids)
         # Node ids: one ring position per host.
         self._node_ids = sorted(
             (chord_id(("node", host_id), bits), host_id) for host_id in self._host_ids
@@ -194,9 +195,9 @@ class ChordDHT:
     # ------------------------------------------------------------------ #
     # DistributedStructure protocol (batched execution; see repro.engine)
     # ------------------------------------------------------------------ #
-    def origin_hosts(self) -> list[HostId]:
-        """Any ring node may originate lookups."""
-        return list(self._host_ids)
+    def origin_hosts(self) -> tuple[HostId, ...]:
+        """Any ring node may originate lookups (the same tuple until the ring changes)."""
+        return self._origins
 
     def seed_roots(self, origin_host: HostId) -> StepGenerator:
         """Step generator returning ``origin_host``'s finger table (local)."""
@@ -245,12 +246,14 @@ class ChordDHT:
         self._host_ids = [
             host_id for host_id in self._host_ids if host_id not in host_ids
         ]
+        self._origins = tuple(self._host_ids)
 
     def _join_ring(self, host_id: HostId) -> None:
         node_id = chord_id(("node", host_id), self.bits)
         self._node_ids = sorted(self._node_ids + [(node_id, host_id)])
         self._ring = [ring_id for ring_id, _host in self._node_ids]
         self._host_ids.append(host_id)
+        self._origins = tuple(self._host_ids)
         self._stored_keys.setdefault(host_id, [])
 
     def _rehome_keys_by_hash(

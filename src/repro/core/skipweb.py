@@ -160,6 +160,7 @@ class SkipWeb:
             host_count = self.config.host_count or len(items)
             self.network.add_hosts(host_count)
         self._host_ids = [host.host_id for host in self.network.hosts()]
+        self._origins = tuple(self._host_ids)
 
         # Home hosts for items: queries about an item start at its owner.
         self._owners: dict[Any, HostId] = evenly_owned_items(list(items), self._host_ids)
@@ -581,9 +582,12 @@ class SkipWeb:
     # ------------------------------------------------------------------ #
     # DistributedStructure protocol (batched execution; see repro.engine)
     # ------------------------------------------------------------------ #
-    def origin_hosts(self) -> list[HostId]:
-        """Hosts from which operations may originate (every host has a root)."""
-        return list(self._host_ids)
+    def origin_hosts(self) -> tuple[HostId, ...]:
+        """Hosts from which operations may originate (every host has a root).
+
+        The same tuple until the host list is re-synced with the network.
+        """
+        return self._origins
 
     def seed_roots(self, origin_host: HostId):
         """Step generator returning ``origin_host``'s root entries.
@@ -644,6 +648,7 @@ class SkipWeb:
         ]
         if not self._host_ids:
             raise ChurnError("skip-web cannot lose its last live host")
+        self._origins = tuple(self._host_ids)
         self._blocking = self._make_blocking_policy()
         self._layout_epoch += 1
         return self._host_ids
@@ -943,7 +948,7 @@ class SkipWebStructureAdapter:
         """Normalise a domain range before handing it to the skip-web."""
         return query_range
 
-    def origin_hosts(self) -> list[HostId]:
+    def origin_hosts(self) -> tuple[HostId, ...]:
         return self.web.origin_hosts()
 
     def seed_roots(self, origin_host: HostId):

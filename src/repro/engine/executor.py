@@ -26,6 +26,17 @@ only abort an update cleanly (during its search phase) or lose its
 billing acks (during its charge phase, with the change already applied
 and the structure consistent) — never leave a half-mutated structure.
 
+A batch of **one** search, insert or delete has nothing to interleave
+with, so while nothing can act on the round clock (no fault plan, no
+failed host, no ``on_round`` hook, no ``round_budget``, no route cache)
+:meth:`BatchExecutor.run` drives it with the same walk loop as
+:func:`~repro.engine.steps.run_immediate`, charging each crossing as a
+round of its own (:meth:`repro.net.network.Network.deliver`).  Its
+outcome, rounds, round reports and congestion aggregates are the ones
+the round scheduler would have produced, and a batched single now costs
+what an immediate one costs: ``Cluster(mode="immediate")`` differs only
+in deciding faults at send time and in how it is journaled.
+
 A per-origin **route cache** is available as a measurable fast path:
 when enabled, the first remote record a search fetches (its top-level
 descent entry) is memoized per origin host, so subsequent searches from
@@ -40,6 +51,7 @@ route may aim at a host that is now dead or gone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import GEN_SUSPENDED, getgeneratorstate
 from typing import Any, Callable
 
 from repro.engine.protocol import DistributedStructure
@@ -50,6 +62,7 @@ from repro.engine.steps import (
     Resolution,
     StepGenerator,
     Visit,
+    _drive,
 )
 from repro.errors import (
     AddressError,
@@ -80,6 +93,9 @@ _KIND_OF = {
     "insert": MessageKind.UPDATE,
     "delete": MessageKind.UPDATE,
 }
+
+#: Operation kinds whose walk never forks (only range reports yield Fork).
+_WALK_KINDS = frozenset(("search", "insert", "delete"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,14 +348,16 @@ class BatchExecutor:
         there would fail it instantly.  Filtering them out is a scan over
         every host, so the answer is kept until the network's membership
         epoch moves (join, leave, crash, recover) or the structure
-        declares a different list (repair, an update that changes which
-        hosts hold roots).  The one place default origins come from — the
+        declares a new sequence (repair, an update that changes which
+        hosts hold roots).  Structures hand out the same immutable
+        sequence until their origins change, so that check is one
+        identity test.  The one place default origins come from — the
         façade's immediate mode reads it too.
         Callers index the returned list and never mutate it.
         """
         declared = self.structure.origin_hosts()
         epoch = self.network.membership_epoch
-        if epoch != self._origins_epoch or declared != self._origins_declared:
+        if epoch != self._origins_epoch or declared is not self._origins_declared:
             alive = set(self.network.alive_host_ids())
             self._origins = [host for host in declared if host in alive]
             self._origins_declared = declared
@@ -385,36 +403,125 @@ class BatchExecutor:
     # batch driver
     # ------------------------------------------------------------------ #
     def run(self, operations: list[Operation] | tuple[Operation, ...]) -> BatchResult:
-        """Execute ``operations`` concurrently, one host crossing per round each."""
+        """Execute ``operations`` concurrently, one host crossing per round each.
+
+        A batch of one search, insert or delete has nothing to interleave
+        with; while nothing can act on the round clock (see
+        :meth:`_walks_alone`) it is driven as one walk instead of through
+        the round scheduler, with the same outcome, rounds, round reports
+        and congestion aggregates.
+        """
         # Origins come from the cached alive-origin list: no per-batch
         # scan over the hosts.
-        states = [_InFlight(outcome) for outcome in self.place(operations)]
+        outcomes = self.place(operations)
 
         self._cache_hits = 0
         self._cache_misses = 0
         self._sync_cache_epoch()
-        with self.network.rounds():
-            with self.network.measure() as stats:
-                self.network.run_rounds(
-                    [self._stepper(state) for state in states],
+        network = self.network
+        alone = len(outcomes) == 1 and self._walks_alone(outcomes[0])
+        with network.rounds():
+            if alone:
+                self._walk_alone(outcomes[0])
+            else:
+                network.run_rounds(
+                    [self._stepper(_InFlight(outcome)) for outcome in outcomes],
                     max_rounds=self.max_rounds,
                     on_round=self.on_round,
                 )
-            rounds = self.network.rounds_completed
-            round_reports = self.network.round_reports
+            rounds = network.rounds_completed
+            round_reports = network.round_reports
+        # The session is the batch: its aggregates count every delivery
+        # (and every link cost) the batch's operations paid.
+        summary = round_congestion_report(network)
+        if alone:
+            outcome = outcomes[0]
+            outcome.messages = summary.total_messages
+            outcome.latency = summary.total_weight
+            outcome.rounds = rounds
         result = BatchResult(
-            outcomes=[state.outcome for state in states],
+            outcomes=outcomes,
             rounds=rounds,
-            messages=stats.messages,
+            messages=summary.total_messages,
             round_reports=round_reports,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
-            congestion_summary=round_congestion_report(self.network),
-            latency=stats.latency,
+            congestion_summary=summary,
+            latency=summary.total_weight,
         )
         if self.on_commit is not None:
             self.on_commit(tuple(operations), result)
         return result
+
+    # ------------------------------------------------------------------ #
+    # a lone walk (a batch of one that cannot fork)
+    # ------------------------------------------------------------------ #
+    def _walks_alone(self, outcome: OpOutcome) -> bool:
+        """Whether a batch of just ``outcome`` may skip the round scheduler.
+
+        Only a walk that cannot fork qualifies, and only while nothing
+        can act on the round clock between its crossings: a fault plan
+        (round-start host rules, delays, backoff), a failed host, an
+        ``on_round`` hook, a round budget and the route cache all keep
+        the scheduler.
+        """
+        network = self.network
+        return (
+            outcome.operation.kind in _WALK_KINDS
+            and network.faults is None
+            and not network.failed_hosts
+            and self.on_round is None
+            and self.round_budget is None
+            and not self.route_cache
+        )
+
+    def _walk_alone(self, outcome: OpOutcome) -> None:
+        """Drive one operation with the walk loop, one crossing per round.
+
+        Each crossing is a round of its own (``Network.deliver``), which
+        is exactly what the scheduler makes of a batch of one.  A
+        conflict restarts the walk and re-pays its messages, up to
+        ``max_retries`` times.  Runs inside :meth:`run`'s round session,
+        which then owns nothing but this walk: :meth:`run` bills the
+        session's messages, link costs and rounds to the outcome, so
+        ``rounds`` counts from the first crossing across retries.
+        """
+        network = self.network
+        deliver = network.deliver
+        max_rounds = self.max_rounds
+
+        def charge(src: HostId, dst: HostId, kind: MessageKind) -> None:
+            deliver(src, dst, kind)
+            if network.rounds_completed >= max_rounds:
+                # Where the scheduler's pass bound trips for one operation.
+                raise RuntimeError(f"round-based execution exceeded {max_rounds} rounds")
+
+        kind = _KIND_OF[outcome.operation.kind]
+        while True:
+            gen = None
+            try:
+                gen = self._make_generator(outcome)
+                outcome.value = _drive(
+                    network, charge, gen, outcome.origin_host, kind, allow_fork=False
+                )
+            except HostFailedError as error:
+                outcome.error = error
+            except _RETRYABLE as error:
+                if outcome.retries < self.max_retries:
+                    outcome.retries += 1
+                    self._cache.clear()
+                    continue
+                outcome.error = error
+            except ReproError as error:
+                if gen is not None and getgeneratorstate(gen) == GEN_SUSPENDED:
+                    # Raised while charging or dereferencing, not by the walk
+                    # itself (an unknown host): the scheduler lets it escape.
+                    raise
+                outcome.error = error
+            break
+        if outcome.operation.kind in ("insert", "delete"):
+            # Structure changed: every memoized top-level copy is suspect.
+            self._cache.clear()
 
     # ------------------------------------------------------------------ #
     # per-operation stepping

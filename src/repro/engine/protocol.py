@@ -23,7 +23,9 @@ A structure implements:
   table), returned through a step generator so that structures whose
   roots require remote fetches can charge them;
 * ``origin_hosts()`` — hosts from which operations may originate, used by
-  workload drivers to spread a batch across the network;
+  workload drivers to spread a batch across the network.  It returns the
+  *same* immutable sequence object until the origins change (and a new
+  one when they do): the executor detects a change by identity;
 * ``migrate_host(host_id, targets, fraction)`` / ``repair(host_ids)`` —
   the churn hooks (see :mod:`repro.engine.repair`): migration hands
   records off a live host (a graceful leave, or a rebalance toward a

@@ -8,9 +8,11 @@ step generators* exactly like queries and updates: they yield
 effects for every record hand-off and every pointer rewrite, so repair
 traffic flows through the same accounting as everything else.
 
-:class:`RepairEngine` is the driver.  It advances a repair generator one
-cross-host effect per network round using the queued delivery mode of
-:meth:`repro.net.network.Network.rounds`, which makes repair cost
+:class:`RepairEngine` is the driver.  It runs a repair generator through
+the engine's one walk loop (:func:`repro.engine.steps._drive`), charging
+each cross-host effect as a network round of its own
+(:meth:`repro.net.network.Network.deliver` inside
+:meth:`repro.net.network.Network.rounds`), which makes repair cost
 three-dimensional — messages, rounds, and per-host per-round congestion —
 instead of a single message count.  Repair messages are tagged
 :attr:`~repro.net.message.MessageKind.CONTROL` so benchmarks can separate
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.engine.steps import HopTo, Resolution, StepGenerator, Visit
+from repro.engine.steps import OP_HOP, OP_VISIT, Resolution, StepGenerator, _drive
 from repro.errors import ChurnError
 from repro.net.message import MessageKind
 from repro.net.naming import HostId
@@ -107,18 +109,18 @@ class RepairEngine:
         fraction: float = 1.0,
     ) -> RepairResult:
         """Hand records off ``host_id`` (graceful leave or join rebalance)."""
-        return self._drive(
+        return self._run(
             self.structure.migrate_host(host_id, targets=targets, fraction=fraction)
         )
 
     def repair(self, host_ids: Sequence[HostId]) -> RepairResult:
         """Re-home the records orphaned by crashed ``host_ids``."""
-        return self._drive(self.structure.repair(list(host_ids)))
+        return self._run(self.structure.repair(list(host_ids)))
 
     # ------------------------------------------------------------------ #
     # the round-based pump
     # ------------------------------------------------------------------ #
-    def _drive(self, gen: StepGenerator) -> RepairResult:
+    def _run(self, gen: StepGenerator) -> RepairResult:
         """Advance ``gen`` one cross-host effect per round until done."""
         network = self.network
         if network.in_round_mode:
@@ -141,28 +143,40 @@ class RepairEngine:
         )
 
     def _pump(self, gen: StepGenerator) -> MigrationSummary:
+        """Run ``gen`` through the walk loop, one crossing per round.
+
+        The first effect announces the coordinator and is resolved free
+        of charge; every later crossing is one ``Network.deliver`` — a
+        round of its own, with a :class:`~repro.errors.HostFailedError`
+        raised when either end has failed.
+        """
         network = self.network
-        current: HostId | None = None
-        steps = 0
+        deliver = network.deliver
+        max_rounds = self.max_rounds
+
+        def charge(src: HostId, dst: HostId, kind: MessageKind) -> None:
+            if network.rounds_completed >= max_rounds:
+                raise ChurnError(f"repair exceeded {max_rounds} rounds")
+            deliver(src, dst, kind)
+
         try:
             effect = next(gen)
-            while True:
-                if steps >= self.max_rounds:
-                    raise ChurnError(f"repair exceeded {self.max_rounds} rounds")
-                steps += 1
-                if isinstance(effect, Visit):
-                    target = effect.address.host
-                elif isinstance(effect, HopTo):
-                    target = effect.host
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"repair generator yielded a non-effect: {effect!r}")
-                charged = current is not None and target != current
-                if charged:
-                    ticket = network.post(current, target, kind=MessageKind.CONTROL)
-                    network.run_round()
-                    ticket.result()  # re-raise HostFailedError, if any
-                current = target
-                value = network.load(effect.address) if isinstance(effect, Visit) else None
-                effect = gen.send(Resolution(value=value, host=current, charged=charged))
         except StopIteration as stop:
             return stop.value
+        if effect.op == OP_VISIT:
+            origin = effect.address.host
+            value = network.load(effect.address)
+        elif effect.op == OP_HOP:
+            origin = effect.host
+            value = None
+        else:
+            raise TypeError(f"repair generator yielded a non-walk effect: {effect!r}")
+        return _drive(
+            network,
+            charge,
+            gen,
+            origin,
+            MessageKind.CONTROL,
+            allow_fork=False,
+            resolution=Resolution(value, origin, False),
+        )

@@ -15,6 +15,12 @@ driven two ways:
   generators round by round over the network's queued delivery mode, so
   per-host per-round congestion is measured directly.
 
+One walk at a time needs no scheduler: :func:`_drive` is the single
+linear walk loop, parameterised by how one crossing is charged.
+:func:`run_immediate` charges with ``network.send``; the executor's
+lone operations and :class:`repro.engine.repair.RepairEngine` charge with
+``network.deliver`` (one crossing, one closed round).
+
 Generators do not talk to the network themselves for remote state; they
 use a :class:`StepCursor` (``yield from cursor.visit(address)``) which
 forwards the effect to whichever driver is in charge.  Local work between
@@ -26,7 +32,7 @@ The effect classes are deliberately *not* dataclasses: they are plain
 dispatch on one integer compare instead of an ``isinstance`` ladder and
 construction skips the dataclass ``__init__`` machinery.  This is the
 ledger hot path: every message the benchmarks count flows through
-:func:`_drive` or the executor's mirror of it.
+:func:`_drive` or the executor's multi-operation scheduler.
 """
 
 from __future__ import annotations
@@ -279,34 +285,44 @@ def run_immediate(
     branch results — the same billing the round-based executor applies,
     so immediate and batched totals match.
     """
-    return _drive(network, gen, origin, kind, allow_fork=True)
+    return _drive(network, network.send, gen, origin, kind, allow_fork=True)
 
 
 def _drive(
     network,
+    charge,
     gen: StepGenerator,
     current: HostId,
     kind: MessageKind,
     allow_fork: bool,
+    resolution: Resolution | None = None,
 ) -> Any:
+    """The one linear walk loop: run ``gen`` to completion from ``current``.
+
+    ``charge(src, dst, kind)`` pays for one host crossing before the walk
+    moves: :meth:`~repro.net.network.Network.send` under
+    :func:`run_immediate`, :meth:`~repro.net.network.Network.deliver`
+    (one crossing, one round) for the executor's lone operations and for
+    repair.  ``resolution``, when given, answers an effect the caller
+    already took off ``gen`` and resumes the walk from there.
+    """
     # Flattened table-driven loop: one integer compare per effect, network
     # entry points bound once, and consecutive same-host resolutions never
     # re-enter the network layer (a local HopTo touches nothing at all; a
     # local Visit pays only the dereference).
-    send = network.send
     load = network.load
     advance = gen.send
     # Bound once: None keeps the flat fast path (Resolution defaults its
     # charged cost to 1); an explicit topology prices each crossing.
     topology = network.topology
     try:
-        effect = next(gen)
+        effect = next(gen) if resolution is None else advance(resolution)
         while True:
             op = effect.op
             if op == OP_VISIT:
                 target = effect.address.host
                 if target != current:
-                    send(current, target, kind=kind)
+                    charge(current, target, kind)
                     if topology is None:
                         resolution = Resolution(load(effect.address), target, True)
                     else:
@@ -323,7 +339,7 @@ def _drive(
             elif op == OP_HOP:
                 target = effect.host
                 if target != current:
-                    send(current, target, kind=kind)
+                    charge(current, target, kind)
                     if topology is None:
                         resolution = Resolution(None, target, True)
                     else:
@@ -336,9 +352,12 @@ def _drive(
                     effect = advance(Resolution(None, current, False))
             elif op == OP_FORK:
                 if not allow_fork:
-                    raise TypeError("nested Fork effects are not supported")
+                    raise TypeError(
+                        "nested Fork effects are not supported "
+                        "(nor a Fork in a search, update or repair walk)"
+                    )
                 value = tuple(
-                    _drive(network, branch, current, kind, allow_fork=False)
+                    _drive(network, charge, branch, current, kind, allow_fork=False)
                     for branch in effect.branches
                 )
                 effect = advance(Resolution(value, current, False))

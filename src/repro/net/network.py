@@ -153,7 +153,7 @@ class OperationStats:
         return self.by_kind.get(kind, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundReport:
     """Delivery summary of one network round.
 
@@ -173,6 +173,10 @@ class RoundReport:
     :class:`~repro.net.topology.Topology`; on the implicit flat default
     they keep their zero values and ``max_link`` / ``max_cluster`` stay
     ``None``.
+
+    Not frozen: every round of every batch builds one, and a frozen
+    dataclass pays an ``object.__setattr__`` per field (about 4x the
+    construction cost).  Treat reports as read-only all the same.
     """
 
     index: int
@@ -656,30 +660,31 @@ class Network:
     ) -> Message | None:
         """Log one inter-host message and update measurement/round counters."""
         if self._trace:
-            message = self._log.record(src=src, dst=dst, kind=kind, payload=payload)
+            message = self._log.record(src, dst, kind, payload)
         else:
             self._log.tally(src, dst, kind)
             message = None
-        cost = 0
-        if self._topology is not None:
-            cost = self._topology.link_cost(src, dst)
+        topology = self._topology
+        cost = 0 if topology is None else topology.link_cost(src, dst)
+        round_mode = self._round_mode
+        index = self._round_index
         for stats in self._measure_stack:
             stats.messages += 1
             stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
             stats.hosts_touched.add(src)
             stats.hosts_touched.add(dst)
             stats.latency += cost
-            if self._round_mode:
-                stats.by_round[self._round_index] = (
-                    stats.by_round.get(self._round_index, 0) + 1
-                )
-        if self._round_mode:
-            self._round_per_host[dst] = self._round_per_host.get(dst, 0) + 1
+            if round_mode:
+                by_round = stats.by_round
+                by_round[index] = by_round.get(index, 0) + 1
+        if round_mode:
+            per_host = self._round_per_host
+            per_host[dst] = per_host.get(dst, 0) + 1
             self._round_delivered += 1
-            if self._topology is not None:
+            if topology is not None:
                 link = (src, dst)
                 self._round_per_link[link] = self._round_per_link.get(link, 0) + cost
-                cluster = self._topology.cluster_of(dst)
+                cluster = topology.cluster_of(dst)
                 self._round_per_cluster[cluster] = (
                     self._round_per_cluster.get(cluster, 0) + cost
                 )
@@ -792,25 +797,17 @@ class Network:
         """
         if self._round_mode:
             raise RuntimeError("network is already in round-based mode")
+        # The assembling-round state (queues, per-host / per-link loads,
+        # fault tallies) is already clean: it starts empty and every exit
+        # below clears it.  Only the session's own record starts afresh.
         self._round_mode = True
         self._round_index = 0
-        self._round_per_host = {}
-        self._round_delivered = 0
         self._round_reports = []
-        self._pending = []
-        self._pending_fast = []
-        self._delayed = []
-        self._round_injected_drops = 0
-        self._round_duplicated = 0
-        self._round_delayed = 0
         self._session_per_round_max = []
         self._session_delivered = 0
         self._session_busiest_host = None
         self._session_busiest_round = None
         self._session_busiest_load = 0
-        self._round_per_link = {}
-        self._round_per_cluster = {}
-        self._round_weight = 0
         self._session_weight = 0
         self._session_per_round_max_link = []
         self._session_per_round_max_cluster = []
@@ -983,21 +980,75 @@ class Network:
         # so the report stays consistent with ``per_host``.
         return self._close_round(dropped=dropped)
 
-    def _close_round(self, dropped: int) -> RoundReport:
-        """Fold the assembling round into a report and the session aggregates."""
+    def deliver(
+        self, src: HostId, dst: HostId, kind: MessageKind = MessageKind.QUERY
+    ) -> Message | None:
+        """Deliver one message as a round of its own.
+
+        Observably ``ticket = post(src, dst, kind); run_round();
+        ticket.result()``: the same round report, session aggregates,
+        measured counters and log entries, and the same
+        :class:`HostFailedError` when either end has failed.  When
+        nothing else is queued or assembling and no fault plan is
+        installed this costs O(1) — no ticket, no pending list, no scan
+        of the round's per-host loads.  Otherwise it is that triple, so
+        a fault plan still applies its round-start host rules and
+        decides the delivery.  Drivers that run one walk at a time (a
+        lone operation, a repair) charge their crossings through it.
+        """
+        if (
+            self._faults is not None
+            or self._pending
+            or self._pending_fast
+            or self._round_per_host
+        ):
+            ticket = self.post(src, dst, kind=kind)
+            self.run_round()
+            return ticket.result()
+        if not self._round_mode:
+            raise RuntimeError("deliver() requires round-based mode; see Network.rounds()")
+        hosts = self._hosts
+        if src not in hosts:
+            raise UnknownHostError(f"unknown source host {src}")
+        if dst not in hosts:
+            raise UnknownHostError(f"unknown destination host {dst}")
+        failed = self._failed_hosts
+        if failed and (src in failed or dst in failed):
+            self._close_round(1)
+            raise HostFailedError(f"host {src if src in failed else dst} has failed")
+        if src == dst:
+            self._close_round(0)
+            return None
+        message = self._record_delivery(src, dst, kind, None)
+        self._close_round(0, dst)
+        return message
+
+    def _close_round(self, dropped: int, busiest: HostId | None = None) -> RoundReport:
+        """Fold the assembling round into a report and the session aggregates.
+
+        ``busiest`` names the one host that received this round's
+        deliveries, when the caller knows it, and skips the scan for it.
+        """
         per_host = self._round_per_host
-        max_load = 0
-        max_load_host: HostId | None = None
-        for host_id, load in per_host.items():
-            if load > max_load:
-                max_load = load
-                max_load_host = host_id
+        if busiest is not None:
+            max_load = per_host[busiest]
+            max_load_host: HostId | None = busiest
+        else:
+            max_load = 0
+            max_load_host = None
+            for host_id, load in per_host.items():
+                if load > max_load:
+                    max_load = load
+                    max_load_host = host_id
+        index = self._round_index
+        delivered = self._round_delivered
+        topology = self._topology
         weight = 0
         max_link_load = 0
         max_link: tuple[HostId, HostId] | None = None
         max_cluster_load = 0
         max_cluster: int | None = None
-        if self._topology is not None:
+        if topology is not None:
             weight = self._round_weight
             for link, load in self._round_per_link.items():
                 if load > max_link_load:
@@ -1007,47 +1058,49 @@ class Network:
                 if load > max_cluster_load:
                     max_cluster_load = load
                     max_cluster = cluster
+        # Positional: one report per round of every batch, so this is hot.
         report = RoundReport(
-            index=self._round_index,
-            delivered=self._round_delivered,
-            per_host=per_host if self._trace else {},
-            dropped=dropped,
-            max_load=max_load,
-            max_load_host=max_load_host,
-            weight=weight,
-            max_link_load=max_link_load,
-            max_link=max_link,
-            max_cluster_load=max_cluster_load,
-            max_cluster=max_cluster,
-            injected_drops=self._round_injected_drops,
-            duplicated=self._round_duplicated,
-            delayed=self._round_delayed,
+            index,
+            delivered,
+            per_host if self._trace else {},
+            dropped,
+            max_load,
+            max_load_host,
+            weight,
+            max_link_load,
+            max_link,
+            max_cluster_load,
+            max_cluster,
+            self._round_injected_drops,
+            self._round_duplicated,
+            self._round_delayed,
         )
-        self._round_reports.append(report)
+        reports = self._round_reports
+        reports.append(report)
         retention = self._round_report_retention
-        if retention is not None and len(self._round_reports) > retention:
-            del self._round_reports[: len(self._round_reports) - retention]
+        if retention is not None and len(reports) > retention:
+            del reports[: len(reports) - retention]
         self._session_per_round_max.append(max_load)
-        self._session_delivered += self._round_delivered
+        self._session_delivered += delivered
         if max_load > self._session_busiest_load:
             self._session_busiest_load = max_load
             self._session_busiest_host = max_load_host
-            self._session_busiest_round = self._round_index
-        if self._topology is not None:
+            self._session_busiest_round = index
+        if topology is not None:
             self._session_weight += weight
             self._session_per_round_max_link.append(max_link_load)
             self._session_per_round_max_cluster.append(max_cluster_load)
             if max_link_load > self._session_busiest_link_load:
                 self._session_busiest_link_load = max_link_load
                 self._session_busiest_link = max_link
-                self._session_busiest_link_round = self._round_index
+                self._session_busiest_link_round = index
             if max_cluster_load > self._session_busiest_cluster_load:
                 self._session_busiest_cluster_load = max_cluster_load
                 self._session_busiest_cluster = max_cluster
             self._round_per_link = {}
             self._round_per_cluster = {}
             self._round_weight = 0
-        self._round_index += 1
+        self._round_index = index + 1
         self._round_per_host = {}
         self._round_delivered = 0
         self._round_injected_drops = 0

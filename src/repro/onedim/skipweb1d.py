@@ -204,6 +204,10 @@ class BucketSkipWeb1D:
 
         # Hosts that left (or crashed) and must not receive blocks again.
         self._retired_hosts: set[HostId] = set()
+        # origin_hosts() memo and the membership epoch it was built at;
+        # -1 forces a rebuild (set whenever _retired_hosts changes).
+        self._origins: tuple[HostId, ...] = ()
+        self._origins_epoch = -1
         # (level, prefix) -> SortedListStructure
         self._structures: dict[tuple[int, BitPrefix], SortedListStructure] = {}
         # (level, prefix, unit key) -> hosts storing a copy
@@ -712,6 +716,7 @@ class BucketSkipWeb1D:
         self.network.host(host_id)  # validate early
         if fraction >= 1.0:
             self._retired_hosts.add(host_id)
+            self._origins_epoch = -1
         summary = yield from self._relayout_for_churn("migrate", (host_id,), host_id)
         return summary
 
@@ -721,6 +726,7 @@ class BucketSkipWeb1D:
         if not dead:
             raise ChurnError("bucket skip-web repair needs at least one crashed host")
         self._retired_hosts |= dead
+        self._origins_epoch = -1
         alive = self._pool_hosts()
         if not alive:
             raise ChurnError("bucket skip-web cannot lose its last live host")
@@ -732,9 +738,16 @@ class BucketSkipWeb1D:
     # ------------------------------------------------------------------ #
     # DistributedStructure protocol (batched execution; see repro.engine)
     # ------------------------------------------------------------------ #
-    def origin_hosts(self) -> list[HostId]:
-        """Every live pool host may originate operations (block hosts are roots)."""
-        return self._pool_hosts()
+    def origin_hosts(self) -> tuple[HostId, ...]:
+        """Every live pool host may originate operations (block hosts are roots).
+
+        The same tuple until the membership epoch moves or a host retires.
+        """
+        epoch = self.network.membership_epoch
+        if epoch != self._origins_epoch:
+            self._origins = tuple(self._pool_hosts())
+            self._origins_epoch = epoch
+        return self._origins
 
     def seed_roots(self, origin_host: HostId) -> StepGenerator:
         """Step generator returning the copies ``origin_host`` stores locally."""
