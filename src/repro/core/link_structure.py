@@ -32,7 +32,7 @@ import abc
 import enum
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.ranges import (
     Interval,
@@ -393,14 +393,15 @@ class RangeDeterminedLinkStructure(abc.ABC):
         cls,
         query: Any,
         current: RangeUnit,
-        neighbors: Mapping[Hashable, Range],
+        neighbors: Iterable[tuple[Hashable, Range]],
     ) -> Hashable | None:
         """One navigation step within a level.
 
-        Given the unit the search currently occupies and the ranges of its
-        incident units (keyed by unit key), return the key of the unit to
-        move to next, or ``None`` when ``current`` is already the target
-        for ``query``.  The skip-web query engine charges one message
+        Given the unit the search currently occupies and the (key, range)
+        pairs of its incident units -- an iterable read once, in the order
+        the record stores them -- return the key of the unit to move to
+        next, or ``None`` when ``current`` is already the target for
+        ``query``.  The skip-web query engine charges one message
         whenever the returned unit lives on a different host.
         """
 

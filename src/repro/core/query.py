@@ -63,20 +63,19 @@ class QueryResult:
 _MAX_LEVEL_STEPS = 10_000
 
 
-def _choose_entry(structure_cls, query: Any, entries: list[tuple[Any, Address]]) -> Address:
-    """Pick the hyperlink to follow: ``entries`` are (unit copy, address) pairs.
+def _choose_entry(structure_cls, query: Any, units: tuple, addresses: tuple) -> Address:
+    """Pick the hyperlink to follow among parallel (unit copy, address) columns.
 
     The unit copies are stored alongside the pointers (the same O(1)
     per-pointer bookkeeping a skip graph keeps for its neighbours' keys),
     so the choice is made locally without spending messages.
     """
-    if not entries:
+    if not units:
         raise QueryError("query descended through a record with no hyperlinks")
-    units = [unit for unit, _address in entries]
     chosen = structure_cls.select(query, units)
-    for unit, address in entries:
+    for index, unit in enumerate(units):
         if unit is chosen or unit.key == chosen.key:
-            return address
+            return addresses[index]
     raise QueryError("select returned a unit that is not among the candidates")
 
 
@@ -90,22 +89,19 @@ def _settle_within_level(
 
     ``record`` is the record reached by following a hyperlink; the walk
     follows the structure's own links (each record stores its neighbours'
-    ranges and addresses), charging a message per host crossing.
+    keys, ranges and addresses), charging a message per host crossing.
     """
     current = record
     advance = structure_cls.advance
     for _ in range(_MAX_LEVEL_STEPS):
-        neighbor_ranges = current.neighbor_ranges
-        if neighbor_ranges is None:
-            neighbor_ranges = current.neighbor_ranges = {
-                key: rng for key, (rng, _addr) in current.neighbors.items()
-            }
-        next_key = advance(query, current.unit, neighbor_ranges)
+        table = current.neighbors
+        keys = table[::3]
+        next_key = advance(query, current.unit, zip(keys, table[1::3]))
         if next_key is None:
             return current
         try:
-            _range, address = current.neighbors[next_key]
-        except KeyError as exc:
+            address = table[3 * keys.index(next_key) + 2]
+        except ValueError as exc:
             raise QueryError(
                 f"advance returned unknown neighbour key {next_key!r} "
                 f"from unit {current.unit.key!r}"
@@ -131,7 +127,8 @@ def descend_steps(skipweb, query: Any, cursor: StepCursor) -> StepGenerator:
 
     per_level_messages: list[int] = []
     hops_before = cursor.hops
-    entry_address = _choose_entry(skipweb.structure_cls, query, root_entries)
+    root_units, root_addresses = zip(*root_entries)
+    entry_address = _choose_entry(skipweb.structure_cls, query, root_units, root_addresses)
     record = yield from cursor.visit(entry_address)
     current = yield from _settle_within_level(skipweb.structure_cls, cursor, query, record)
     per_level_messages.append(cursor.hops - hops_before)
@@ -139,7 +136,9 @@ def descend_steps(skipweb, query: Any, cursor: StepCursor) -> StepGenerator:
 
     while current.level > 0:
         hops_before = cursor.hops
-        entry_address = _choose_entry(skipweb.structure_cls, query, current.down_links)
+        entry_address = _choose_entry(
+            skipweb.structure_cls, query, current.down_units, current.down_addresses
+        )
         record = yield from cursor.visit(entry_address)
         current = yield from _settle_within_level(
             skipweb.structure_cls, cursor, query, record

@@ -60,40 +60,91 @@ from repro.core.range_query import (
 )
 from repro.engine.repair import MigrationSummary
 from repro.engine.steps import StepCursor, StepGenerator, local_steps
-from repro.core.ranges import Range
 from repro.errors import ChurnError, QueryError, StructureError
 from repro.net.congestion import CongestionReport, congestion_report
 from repro.net.naming import Address, HostId
 from repro.net.network import Network
 
 
-@dataclass
 class SkipWebRecord:
     """One node or link of one level structure, as stored on a host.
 
-    ``down_links`` are the hyperlinks of §2.3: for every unit of the
-    parent level structure that conflicts with this unit's range, the
-    record keeps a *copy of the unit* (so the next hop can be chosen
-    locally) together with the address of its record.  ``neighbors`` are
-    the incident units within the same level structure, likewise stored
-    as (range, address) pairs.
+    ``down_units`` / ``down_addresses`` are the hyperlinks of §2.3, as
+    parallel tuples: for every unit of the parent level structure that
+    conflicts with this unit's range, the record keeps a *copy of the
+    unit* (so the next hop can be chosen locally) and the address of its
+    record.  ``neighbors`` is the table of incident units within the same
+    level structure, one flat tuple ``(key, range, address, key, range,
+    address, ...)``.  A record holds slots and tuples only -- no
+    ``__dict__`` and no cache -- because its size is what the per-host
+    space bound of Theorem 2 counts.
     """
 
-    level: int
-    prefix: BitPrefix
-    unit: RangeUnit
-    down_links: list[tuple[RangeUnit, Address]] = field(default_factory=list)
-    neighbors: dict[Hashable, tuple[Range, Address]] = field(default_factory=dict)
-    # Derived key -> range view of ``neighbors``, built lazily by the
-    # query walk and dropped whenever ``neighbors`` is rewired.
-    neighbor_ranges: dict[Hashable, Range] | None = None
+    __slots__ = ("level", "prefix", "unit", "down_units", "down_addresses", "neighbors")
+
+    def __init__(
+        self,
+        level: int,
+        prefix: BitPrefix,
+        unit: RangeUnit,
+        down_units: tuple[RangeUnit, ...] = (),
+        down_addresses: tuple[Address, ...] = (),
+        neighbors: tuple = (),
+    ) -> None:
+        self.level = level
+        self.prefix = prefix
+        self.unit = unit
+        self.down_units = down_units
+        self.down_addresses = down_addresses
+        self.neighbors = neighbors
+
+    def __reduce__(self):
+        return SkipWebRecord, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A snapshot pickled while records were dataclasses holds their
+        # ``__dict__``: a list of (unit, address) hyperlinks, a dict of
+        # key -> (range, address) neighbours and possibly a range cache.
+        down_links = state["down_links"]
+        self.__init__(
+            state["level"],
+            state["prefix"],
+            state["unit"],
+            tuple(unit for unit, _address in down_links),
+            tuple(address for _unit, address in down_links),
+            tuple(
+                field
+                for key, (rng, address) in state["neighbors"].items()
+                for field in (key, rng, address)
+            ),
+        )
+
+    def same_neighbors(self, table: tuple) -> bool:
+        """Whether the stored neighbour table holds exactly ``table``'s entries.
+
+        Compared as a key -> (range, address) map: a structure may list
+        the same neighbours in another order, which is not a change.
+        """
+        stored = self.neighbors
+        if stored == table:
+            return True
+        as_stored = dict(zip(stored[::3], zip(stored[1::3], stored[2::3])))
+        return as_stored == dict(zip(table[::3], zip(table[1::3], table[2::3])))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SkipWebRecord(level={self.level}, prefix={self.prefix}, "
-            f"key={self.unit.key!r}, down={len(self.down_links)}, "
-            f"neighbors={len(self.neighbors)})"
+            f"key={self.unit.key!r}, down={len(self.down_units)}, "
+            f"neighbors={len(self.neighbors) // 3})"
         )
+
+
+def neighbor_table(structure: Any, key: Hashable, addresses: dict[Hashable, Address]) -> tuple:
+    """``key``'s incident units as the flat (key, range, address, ...) table a record stores."""
+    table: list[Any] = []
+    for neighbor in structure.neighbors(key):
+        table += (neighbor.key, neighbor.range, addresses[neighbor.key])
+    return tuple(table)
 
 
 @dataclass
@@ -363,35 +414,26 @@ class SkipWeb:
         """
         addresses = self._level_addresses[(level, prefix)]
         load = self.network.load
-        neighbors_of = structure.neighbors
         if level > 0:
-            parent_prefix = prefix[:-1]
-            parent_structure = self._structures.get((level - 1, parent_prefix))
-            if parent_structure is None:
-                raise StructureError(
-                    f"missing parent structure for level {level} prefix {prefix}"
-                )
-            parent_addresses = self._level_addresses[(level - 1, parent_prefix)]
+            parent_structure, parent_addresses = self._parent_level(level, prefix)
             conflicts = parent_structure.conflicts
-            for unit in structure.units():
-                key = unit.key
-                record: SkipWebRecord = load(addresses[key], check_alive=False)
-                record.neighbors = {
-                    neighbor.key: (neighbor.range, addresses[neighbor.key])
-                    for neighbor in neighbors_of(key)
-                }
-                record.down_links = [
-                    (conflicting, parent_addresses[conflicting.key])
-                    for conflicting in conflicts(unit.range)
-                ]
-        else:
-            for unit in structure.units():
-                key = unit.key
-                record = load(addresses[key], check_alive=False)
-                record.neighbors = {
-                    neighbor.key: (neighbor.range, addresses[neighbor.key])
-                    for neighbor in neighbors_of(key)
-                }
+        for unit in structure.units():
+            key = unit.key
+            record: SkipWebRecord = load(addresses[key], check_alive=False)
+            record.neighbors = neighbor_table(structure, key, addresses)
+            if level > 0:
+                down_units = record.down_units = tuple(conflicts(unit.range))
+                record.down_addresses = tuple(
+                    [parent_addresses[conflicting.key] for conflicting in down_units]
+                )
+
+    def _parent_level(self, level: int, prefix: BitPrefix) -> tuple[Any, dict[Hashable, Address]]:
+        """The level structure one level down (``prefix[:-1]``) and its record addresses."""
+        parent_prefix = prefix[:-1]
+        parent_structure = self._structures.get((level - 1, parent_prefix))
+        if parent_structure is None:
+            raise StructureError(f"missing parent structure for level {level} prefix {prefix}")
+        return parent_structure, self._level_addresses[(level - 1, parent_prefix)]
 
     def _record_at(self, level: int, prefix: BitPrefix, key: Hashable) -> SkipWebRecord:
         # Bookkeeping access (rewiring during updates): must not be
@@ -418,35 +460,29 @@ class SkipWeb:
         record: SkipWebRecord = self.network.load(addresses[key], check_alive=False)
         unit = structure.unit(key)
 
-        neighbors: dict[Hashable, tuple[Range, Address]] = {
-            neighbor.key: (neighbor.range, addresses[neighbor.key])
-            for neighbor in structure.neighbors(key)
-        }
+        neighbors = neighbor_table(structure, key, addresses)
 
-        down_links: list[tuple[RangeUnit, Address]] = []
+        down_units: tuple[RangeUnit, ...] = ()
+        down_addresses: tuple[Address, ...] = ()
         if level > 0:
-            parent_prefix = prefix[:-1]
-            parent_structure = self._structures.get((level - 1, parent_prefix))
-            if parent_structure is None:
-                raise StructureError(
-                    f"missing parent structure for level {level} prefix {prefix}"
-                )
-            parent_addresses = self._level_addresses[(level - 1, parent_prefix)]
-            down_links = [
-                (conflicting, parent_addresses[conflicting.key])
-                for conflicting in parent_structure.conflicts(unit.range)
-            ]
+            parent_structure, parent_addresses = self._parent_level(level, prefix)
+            down_units = tuple(parent_structure.conflicts(unit.range))
+            down_addresses = tuple(
+                [parent_addresses[conflicting.key] for conflicting in down_units]
+            )
 
+        # Hyperlinks compare in order, the neighbour table as a map.
         changed = (
             (record.unit is not unit and record.unit != unit)
-            or record.neighbors != neighbors
-            or record.down_links != down_links
+            or not record.same_neighbors(neighbors)
+            or record.down_units != down_units
+            or record.down_addresses != down_addresses
         )
         if changed:
             record.unit = unit
             record.neighbors = neighbors
-            record.neighbor_ranges = None
-            record.down_links = down_links
+            record.down_units = down_units
+            record.down_addresses = down_addresses
         return changed
 
     # ------------------------------------------------------------------ #
@@ -678,10 +714,10 @@ class SkipWeb:
         for (level, prefix, key), address in list(self._address_of.items()):
             record: SkipWebRecord = self.network.load(address, check_alive=False)
             stale = any(
-                down_address in stale_addresses for _unit, down_address in record.down_links
+                down_address in stale_addresses for down_address in record.down_addresses
             ) or any(
                 neighbor_address in stale_addresses
-                for _range, neighbor_address in record.neighbors.values()
+                for neighbor_address in record.neighbors[2::3]
             )
             if not stale:
                 continue
@@ -836,13 +872,8 @@ class SkipWeb:
         for address in self._address_of.values():
             record: SkipWebRecord = load(address)
             home = address.host
-            for _range, neighbor_address in record.neighbors.values():
-                other = neighbor_address.host
-                if other != home:
-                    out_refs[home] = out_refs.get(home, 0) + 1
-                    in_refs[other] = in_refs.get(other, 0) + 1
-            for _unit, down_address in record.down_links:
-                other = down_address.host
+            for pointer in (*record.neighbors[2::3], *record.down_addresses):
+                other = pointer.host
                 if other != home:
                     out_refs[home] = out_refs.get(home, 0) + 1
                     in_refs[other] = in_refs.get(other, 0) + 1
@@ -875,7 +906,7 @@ class SkipWeb:
             record: SkipWebRecord = self.network.load(address)
             if record.unit.key != key or record.level != level or record.prefix != prefix:
                 raise StructureError(f"record at {address} is mislabelled")
-            for down_unit, down_address in record.down_links:
+            for down_unit, down_address in zip(record.down_units, record.down_addresses):
                 down_record: SkipWebRecord = self.network.load(down_address)
                 if down_record.level != level - 1:
                     raise StructureError(
@@ -887,7 +918,8 @@ class SkipWeb:
                         f"hyperlink copy of {key!r} is stale: labelled "
                         f"{down_unit.key!r} but points to {down_record.unit.key!r}"
                     )
-            for neighbor_key, (_range, neighbor_address) in record.neighbors.items():
+            neighbors = record.neighbors
+            for neighbor_key, neighbor_address in zip(neighbors[::3], neighbors[2::3]):
                 neighbor_record: SkipWebRecord = self.network.load(neighbor_address)
                 if neighbor_record.unit.key != neighbor_key:
                     raise StructureError(

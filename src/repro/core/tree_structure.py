@@ -5,11 +5,12 @@ through the link-structure interface: every tree node is a *node* unit,
 every non-root tree node also carries the *link* unit of the edge to its
 parent, a node is incident to its own link and to the links of its
 children, and a link is incident to its two end nodes.
-:class:`TreeLinkStructure` keeps the unit index, the adjacency map and
-the canonical unit order for any such tree, and keeps them current when
-the tree is updated in place: the tree reports which nodes an update
-touched (:class:`TreeChange`) and only the units of those nodes are
-derived again.
+:class:`TreeLinkStructure` keeps the unit index and the canonical unit
+order for any such tree, and keeps them current when the tree is updated
+in place: the tree reports which nodes an update touched
+(:class:`TreeChange`) and only the units of those nodes are derived
+again.  Neighbours are read off the tree itself, so there is no
+adjacency map to keep.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
     def __init__(self) -> None:
         self._units: list[RangeUnit] | None = None
         self._units_by_key: dict[Hashable, RangeUnit] = {}
-        self._adjacency: dict[Hashable, list[Hashable]] = {}
         self._node_by_key: dict[Hashable, Any] = {}
         self._resync(TreeChange(changed=list(self._preorder())))
 
@@ -116,7 +116,6 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
                 if unit is not None:
                     removed[unit.key] = unit
                     del self._units_by_key[unit.key]
-                    del self._adjacency[unit.key]
                     del self._node_by_key[unit.key]
             node.nunit = node.lunit = None
 
@@ -133,12 +132,6 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
                     added[unit.key] = unit
                     self._units_by_key[unit.key] = unit
                     self._node_by_key[unit.key] = node
-        for node in live:
-            incident = [child.lunit.key for child in self._children(node)]
-            if node.lunit is not None:
-                incident.insert(0, node.lunit.key)
-                self._adjacency[node.lunit.key] = [node.parent.nunit.key, node.nunit.key]
-            self._adjacency[node.nunit.key] = incident
 
         self._units = None
         return StructureDelta(
@@ -177,8 +170,14 @@ class TreeLinkStructure(RangeDeterminedLinkStructure):
         return len(self._units_by_key)
 
     def neighbors(self, key: Hashable) -> list[RangeUnit]:
+        """A node's link to its parent, then its children's links; a link's two end nodes."""
         try:
-            neighbor_keys = self._adjacency[key]
+            node = self._node_by_key[key]
         except KeyError as exc:
             raise StructureError(f"{self.name}: no unit with key {key!r}") from exc
-        return [self._units_by_key[neighbor] for neighbor in neighbor_keys]
+        if node.nunit.key != key:
+            return [node.parent.nunit, node.nunit]
+        incident = [child.lunit for child in self._children(node)]
+        if node.lunit is not None:
+            incident.insert(0, node.lunit)
+        return incident

@@ -61,6 +61,7 @@ from repro.core.levels import BitPrefix
 from repro.core.link_structure import StructureDelta
 from repro.core.query import query_steps
 from repro.core.ranges import ranges_conflict
+from repro.core.skipweb import neighbor_table
 from repro.engine.steps import StepCursor, StepGenerator, run_immediate
 from repro.errors import UpdateError
 from repro.net.message import MessageKind
@@ -118,7 +119,7 @@ def _apply_level_change(
     touched: set[Hashable] = set()
     for unit in delta.removed:
         if lazy:
-            touched.update(skipweb._record_at(level, prefix, unit.key).neighbors)
+            touched.update(skipweb._record_at(level, prefix, unit.key).neighbors[::3])
         address = skipweb._remove_record(level, prefix, unit.key)
         affected_hosts.add(address.host)
 
@@ -289,19 +290,15 @@ class _LevelRecords:
         unit = structure.unit(key)
         if record.unit is not unit and record.unit != unit:
             return True
-        addresses = self.addresses
-        if record.neighbors != {
-            neighbor.key: (neighbor.range, addresses[neighbor.key])
-            for neighbor in structure.neighbors(key)
-        }:
+        if not record.same_neighbors(neighbor_table(structure, key, self.addresses)):
             return True
-        if record.down_links:
+        if record.down_units:
             parent_units = self._parent_units
             if parent_units is None:
                 parent_prefix = self._prefix[:-1]
                 parent = self._skipweb._structures[(self._level - 1, parent_prefix)]
                 parent_units = self._parent_units = parent.unit_map()
-            for copied, _address in record.down_links:
+            for copied in record.down_units:
                 now = parent_units.get(copied.key)
                 if now is None or (now is not copied and now != copied):
                     return True
@@ -330,7 +327,7 @@ class _HyperlinkCopies:
         if verdict is None:
             verdict = False
             named, current = self._named, self._current
-            for copied, _address in self._record(key).down_links:
+            for copied in self._record(key).down_units:
                 if copied.key in named:
                     verdict = True
                     now = current.get(copied.key)

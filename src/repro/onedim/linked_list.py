@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.bulkload import is_strictly_increasing
 from repro.core.link_structure import (
@@ -97,7 +97,6 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         self._keys = deduplicated
         self._units = self._build_units()
         self._units_by_key = {unit.key: unit for unit in self._units}
-        self._adjacency = self._build_adjacency()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -116,22 +115,6 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         units.append(_link_unit(keys[-1], _POS_INF))
         return units
 
-    def _build_adjacency(self) -> dict[Hashable, list[Hashable]]:
-        adjacency: dict[Hashable, list[Hashable]] = {unit.key: [] for unit in self._units}
-        keys = self._keys
-        boundaries: list[tuple[float, float]] = [(_NEG_INF, keys[0])]
-        boundaries.extend((keys[i], keys[i + 1]) for i in range(len(keys) - 1))
-        boundaries.append((keys[-1], _POS_INF))
-        for low, high in boundaries:
-            link = _link_key(low, high)
-            if low != _NEG_INF:
-                adjacency[link].append(_node_key(low))
-                adjacency[_node_key(low)].append(link)
-            if high != _POS_INF:
-                adjacency[link].append(_node_key(high))
-                adjacency[_node_key(high)].append(link)
-        return adjacency
-
     # ------------------------------------------------------------------ #
     # in-place updates (canonical: identical to a full rebuild)
     # ------------------------------------------------------------------ #
@@ -140,8 +123,8 @@ class SortedListStructure(RangeDeterminedLinkStructure):
 
         The sorted list's unit sequence is fully determined by the sorted
         key array, so only the insertion position changes: the one link
-        spanning the gap is replaced by node + two links and the
-        adjacency entries of the two bracketing nodes are patched.
+        spanning the gap is replaced by node + two links (neighbours are
+        derived from the key order, so nothing else is patched).
         """
         value = float(item)
         keys = self._keys
@@ -158,9 +141,6 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         keys.insert(index, value)
         self._units[2 * index : 2 * index + 1] = [left, node, right]
         self._replace_units(removed=(old_link,), added=(left, node, right))
-        self._adjacency[node.key] = [left.key, right.key]
-        self._splice_link(left)
-        self._splice_link(right)
         return StructureDelta(self, added=(left, node, right), removed=(old_link,))
 
     def without_item(self, item: Any) -> StructureDelta:
@@ -185,7 +165,6 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         del keys[index]
         self._units[2 * index : 2 * index + 3] = [merged]
         self._replace_units(removed=(left, node, right), added=(merged,))
-        self._splice_link(merged)
         return StructureDelta(self, added=(merged,), removed=(left, node, right))
 
     def _unit_at(self, position: int, expected_key: Hashable) -> RangeUnit:
@@ -198,23 +177,10 @@ class SortedListStructure(RangeDeterminedLinkStructure):
             )
         return unit
 
-    def _splice_link(self, link: RangeUnit) -> None:
-        """Wire a new link to its finite endpoint nodes, in place of their old links."""
-        low, high = link.payload
-        endpoints = []
-        if low is not None:
-            endpoints.append(_node_key(low))
-            self._adjacency[_node_key(low)][1] = link.key
-        if high is not None:
-            endpoints.append(_node_key(high))
-            self._adjacency[_node_key(high)][0] = link.key
-        self._adjacency[link.key] = endpoints
-
     def _replace_units(self, removed: Sequence[RangeUnit], added: Sequence[RangeUnit]) -> None:
-        """Swap ``removed`` for ``added`` in the key index and the adjacency map."""
+        """Swap ``removed`` for ``added`` in the key index."""
         for unit in removed:
             del self._units_by_key[unit.key]
-            del self._adjacency[unit.key]
         for unit in added:
             self._units_by_key[unit.key] = unit
 
@@ -246,11 +212,17 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         return set(self._units_by_key)
 
     def neighbors(self, key: Hashable) -> list[RangeUnit]:
-        try:
-            neighbor_keys = self._adjacency[key]
-        except KeyError as exc:
-            raise StructureError(f"sorted-list: no unit with key {key!r}") from exc
-        return [self._units_by_key[neighbor] for neighbor in neighbor_keys]
+        """A node's ``[left link, right link]``; a link's finite endpoint nodes, low first.
+
+        Derived from the key order: node ``k_i`` sits at ``2i + 1`` of the
+        unit list, between its two links.
+        """
+        unit = self.unit(key)
+        if unit.is_node:
+            index = 2 * bisect.bisect_left(self._keys, unit.payload)
+            return self._units[index : index + 3 : 2]
+        units_by_key = self._units_by_key
+        return [units_by_key[_node_key(end)] for end in unit.payload if end is not None]
 
     def overlapping(self, query_range: Range) -> list[RangeUnit]:
         """Units overlapping ``query_range`` — found by bisection, O(log n + output)."""
@@ -328,7 +300,7 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         cls,
         query: Any,
         current: RangeUnit,
-        neighbors: Mapping[Hashable, Range],
+        neighbors: Iterable[tuple[Hashable, Range]],
     ) -> Hashable | None:
         point = float(query)
         if current.is_node:
@@ -337,7 +309,7 @@ class SortedListStructure(RangeDeterminedLinkStructure):
                 return None
             # Move onto the link on the side of the query.
             best_key: Hashable | None = None
-            for key, rng in neighbors.items():
+            for key, rng in neighbors:
                 if isinstance(rng, Interval) and rng.contains(point):
                     return key
                 if isinstance(rng, Interval):
@@ -349,14 +321,14 @@ class SortedListStructure(RangeDeterminedLinkStructure):
         # current is a link
         if current.range.contains(point):
             # Prefer the endpoint node when the query is exactly a stored key.
-            for key, rng in neighbors.items():
+            for key, rng in neighbors:
                 if isinstance(rng, Singleton) and float(rng.value) == point:
                     return key
             return None
         # Walk toward the query.
         low, high = current.range.low, current.range.high
         target_value = low if point < low else high
-        for key, rng in neighbors.items():
+        for key, rng in neighbors:
             if isinstance(rng, Singleton) and float(rng.value) == target_value:
                 return key
         return None

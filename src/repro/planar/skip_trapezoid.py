@@ -16,7 +16,7 @@ segments spread across ``n`` hosts in ``O(log n)`` expected messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.link_structure import RangeDeterminedLinkStructure, RangeUnit, UnitKind
 from repro.core.query import QueryResult
@@ -344,14 +344,14 @@ class TrapezoidalMapStructure(RangeDeterminedLinkStructure):
         cls,
         query: Any,
         current: RangeUnit,
-        neighbors: Mapping[Hashable, Range],
+        neighbors: Iterable[tuple[Hashable, Range]],
     ) -> Hashable | None:
         point = (float(query[0]), float(query[1]))
         if current.is_node and current.range.contains(point):
             return None
         if current.is_link and current.range.contains(point):
             # Move onto whichever endpoint trapezoid contains the point.
-            for key, rng in neighbors.items():
+            for key, rng in neighbors:
                 if isinstance(rng, Trapezoid) and rng.contains(point):
                     return key
             return None
@@ -363,7 +363,7 @@ class TrapezoidalMapStructure(RangeDeterminedLinkStructure):
         )
         best_key: Hashable | None = None
         best_distance = current_distance
-        for key, rng in neighbors.items():
+        for key, rng in neighbors:
             if rng.contains(point):
                 return key
             if hasattr(rng, "distance_to_point"):

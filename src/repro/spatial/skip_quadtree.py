@@ -16,7 +16,7 @@ that the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.link_structure import OverlapView, RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
@@ -320,7 +320,7 @@ class QuadtreeStructure(TreeLinkStructure):
         cls,
         query: Any,
         current: RangeUnit,
-        neighbors: Mapping[Hashable, Range],
+        neighbors: Iterable[tuple[Hashable, Range]],
     ) -> Hashable | None:
         point = as_point(query)
         current_cube = current.range
@@ -331,9 +331,12 @@ class QuadtreeStructure(TreeLinkStructure):
             # link; a link moves onto its child node (same cube, finer unit).
             best_key = None
             best_side = current_cube.side if current.is_node else current_cube.side + 1
-            for key, rng in neighbors.items():
+            same_cube = None
+            for key, rng in neighbors:
                 if not isinstance(rng, HyperCube) or not rng.contains_closed(point):
                     continue
+                if same_cube is None and rng.side == current_cube.side:
+                    same_cube = key
                 descend = rng.side < current_cube.side or (
                     current.is_link and rng.side == current_cube.side and key != current.key
                 )
@@ -342,18 +345,12 @@ class QuadtreeStructure(TreeLinkStructure):
                     best_side = rng.side
             if current.is_link and best_key is None:
                 # Move from the link onto its endpoint node of equal cube.
-                for key, rng in neighbors.items():
-                    if (
-                        isinstance(rng, HyperCube)
-                        and rng.contains_closed(point)
-                        and rng.side == current_cube.side
-                    ):
-                        return key
+                return same_cube
             return best_key
         # The current cell does not contain the query: climb towards the root.
         best_key = None
         best_side = current_cube.side
-        for key, rng in neighbors.items():
+        for key, rng in neighbors:
             if isinstance(rng, HyperCube) and rng.side > best_side:
                 best_key = key
                 best_side = rng.side

@@ -20,7 +20,7 @@ search — in ``O(log n)`` expected messages even when the trie has depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.link_structure import RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
@@ -320,14 +320,14 @@ class TrieStructure(TreeLinkStructure):
         cls,
         query: Any,
         current: RangeUnit,
-        neighbors: Mapping[Hashable, Range],
+        neighbors: Iterable[tuple[Hashable, Range]],
     ) -> Hashable | None:
         text = str(query)
         current_range: TrieRange = current.range
         current_match = current_range.match_length(text)
         best_key: Hashable | None = None
         best_match = current_match
-        for key, rng in neighbors.items():
+        for key, rng in neighbors:
             if not isinstance(rng, TrieRange):
                 continue
             match = rng.match_length(text)

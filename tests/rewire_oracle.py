@@ -93,13 +93,26 @@ def level_changes(apply):
         update._apply_level_change = real
 
 
+def stored_pointers(record) -> tuple[dict, list]:
+    """A record's neighbour table as a key -> (range, address) dict, its hyperlinks as a list.
+
+    The dict ignores the order the table stores its neighbours in; the
+    list keeps the order of the hyperlinks, as a rewire compares them.
+    """
+    table = record.neighbors
+    neighbors = {
+        key: (rng, address) for key, rng, address in zip(table[::3], table[1::3], table[2::3])
+    }
+    return neighbors, list(zip(record.down_units, record.down_addresses))
+
+
 def record_fields(skipweb) -> dict:
     """Every record's address, unit, neighbour table and hyperlink list."""
     load = skipweb.network.load
     fields = {}
     for entry, address in skipweb._address_of.items():
         record = load(address, check_alive=False)
-        fields[entry] = (address, record.unit, dict(record.neighbors), list(record.down_links))
+        fields[entry] = (address, record.unit, *stored_pointers(record))
     return fields
 
 
@@ -144,23 +157,24 @@ def stale_copies(skipweb) -> StaleCopies:
     for (level, prefix, key), address in skipweb._address_of.items():
         record = skipweb.network.load(address, check_alive=False)
         unit, neighbors, down_links = fresh_record(skipweb, level, prefix, key)
+        stored_neighbors, stored_down_links = stored_pointers(record)
         entry = (level, prefix, key)
         if record.unit != unit:
             stale.units += 1
             stale.records.add(entry)
-        stored_pointers = {name: at for name, (_range, at) in record.neighbors.items()}
-        if stored_pointers != {name: at for name, (_range, at) in neighbors.items()}:
+        pointers = {name: at for name, (_range, at) in stored_neighbors.items()}
+        if pointers != {name: at for name, (_range, at) in neighbors.items()}:
             stale.wrong_pointers.add(entry)
         else:
             for neighbor_key, (neighbor_range, _address) in neighbors.items():
-                if record.neighbors[neighbor_key][0] != neighbor_range:
+                if stored_neighbors[neighbor_key][0] != neighbor_range:
                     stale.neighbor_ranges += 1
                     stale.records.add(entry)
-        stored_links = [(copied.key, at) for copied, at in record.down_links]
+        stored_links = [(copied.key, at) for copied, at in stored_down_links]
         if stored_links != [(copied.key, at) for copied, at in down_links]:
             stale.wrong_pointers.add(entry)
         else:
-            for (stored, _stored_address), (fresh, _address) in zip(record.down_links, down_links):
+            for (stored, _stored_address), (fresh, _address) in zip(stored_down_links, down_links):
                 if stored != fresh:
                     stale.down_links += 1
                     stale.records.add(entry)

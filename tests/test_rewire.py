@@ -12,7 +12,9 @@ replaced (kept in ``rewire_oracle``):
   structure's ``overlapping``, whose trie version is path-restricted;
 * the stale copies the lazy refresh leaves behind keep their keys and
   addresses, are pinned in number, and are all in the registry where the
-  update relies on it.
+  update relies on it;
+* a rewire compares a record's neighbour table as a map (a reordered
+  table is no change and keeps its order) and its hyperlinks in order.
 """
 
 from __future__ import annotations
@@ -310,3 +312,37 @@ class TestStaleCopies:
         else:
             # Scans small enough to visit are compared whole; nothing is registered.
             assert not registered
+
+
+class TestNeighbourTableComparison:
+    """A rewire compares a neighbour table as a map and hyperlinks in order."""
+
+    def _record(self):
+        web = Cluster("skipweb1d", uniform_keys(64, seed=5), seed=5).structure.web
+        for (level, prefix, key), address in web._address_of.items():
+            record = web.network.load(address, check_alive=False)
+            if len(record.neighbors) == 6 and len(record.down_units) >= 2:
+                return web, (level, prefix, key), record
+        raise AssertionError("no record with two neighbours and two hyperlinks")
+
+    def test_reordered_neighbours_are_no_change(self):
+        web, entry, record = self._record()
+        reordered = record.neighbors[3:] + record.neighbors[:3]
+        record.neighbors = reordered
+        assert not web._rewire_record(*entry)
+        assert record.neighbors is reordered  # the stored order is kept
+
+    def test_a_wrong_neighbour_address_is_a_change(self):
+        web, entry, record = self._record()
+        fresh = record.neighbors
+        key, rng, _address = fresh[:3]
+        record.neighbors = fresh[3:] + (key, rng, fresh[5])
+        assert web._rewire_record(*entry)
+        assert record.neighbors == fresh  # the structure's order again
+
+    def test_reordered_hyperlinks_are_a_change(self):
+        web, entry, record = self._record()
+        units, addresses = record.down_units, record.down_addresses
+        record.down_units, record.down_addresses = units[::-1], addresses[::-1]
+        assert web._rewire_record(*entry)
+        assert (record.down_units, record.down_addresses) == (units, addresses)

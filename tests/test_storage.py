@@ -6,16 +6,22 @@ registered structure families (the recovery-gate CI job enforces the
 same property end-to-end through the CLI with a real SIGKILL).
 """
 
+import copyreg
+import io
 import json
 import os
+import pickle
+import random
 import sqlite3
 
 import pytest
 
 from repro.api import Cluster, available_structures
+from repro.core.skipweb import SkipWebRecord
 from repro.errors import StorageError
 from repro.net.network import Network, ledger_mode
 from repro.onedim import SkipWeb1D
+from repro.spatial import HyperCube
 from repro.storage import (
     FORMAT_VERSION,
     JsonlStorage,
@@ -27,6 +33,7 @@ from repro.storage import (
     encode_record,
     open_storage,
 )
+from repro.storage import snapshot as snapshot_module
 from repro.storage.workload import (
     _run_step,
     report_json,
@@ -34,7 +41,7 @@ from repro.storage.workload import (
     run_workload,
     workload_specs,
 )
-from repro.workloads import uniform_keys
+from repro.workloads import random_strings, uniform_keys, uniform_points
 
 SEED = 11
 KEYS = uniform_keys(24, seed=3)
@@ -246,6 +253,138 @@ class TestSaveAndLoad:
         recovered = Cluster.recover(store)
         assert recovered.applied_operations == 4  # create + 3 batches
         recovered.close()
+
+
+class _DataclassRecordPickler(pickle.Pickler):
+    """Pickles skip-web records as they pickled while they were dataclasses.
+
+    That state is the record's ``__dict__``: a list of (unit, address)
+    hyperlinks, a dict of key -> (range, address) neighbours and the
+    query walk's key -> range cache, which visited records carried.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) is not SkipWebRecord:
+            return NotImplemented
+        table = obj.neighbors
+        neighbors = {
+            key: (rng, address) for key, rng, address in zip(table[::3], table[1::3], table[2::3])
+        }
+        cached = {key: rng for key, (rng, _address) in neighbors.items()}
+        state = {
+            "level": obj.level,
+            "prefix": obj.prefix,
+            "unit": obj.unit,
+            "down_links": list(zip(obj.down_units, obj.down_addresses)),
+            "neighbors": neighbors,
+            "neighbor_ranges": cached if obj.level % 2 else None,
+        }
+        return copyreg.__newobj__, (SkipWebRecord,), state
+
+
+class _DataclassRecordPickle:
+    """The ``pickle`` module as the snapshot codec sees it, with old-style records."""
+
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    loads = staticmethod(pickle.loads)
+
+    @staticmethod
+    def dumps(obj, protocol=None):
+        buffer = io.BytesIO()
+        _DataclassRecordPickler(buffer, protocol).dump(obj)
+        return buffer.getvalue()
+
+
+def _legacy_inputs():
+    cube = {"bounding_cube": HyperCube((0.0, 0.0), 1.0)}
+    return {
+        "skipweb1d": (uniform_keys(48, seed=5), {}, lambda rng: round(rng.uniform(0, 1e6), 6)),
+        "skipquadtree": (
+            uniform_points(48, seed=5),
+            cube,
+            lambda rng: (round(rng.random(), 9), round(rng.random(), 9)),
+        ),
+        "skiptrie": (
+            random_strings(48, seed=5),
+            {},
+            lambda rng: "".join(rng.choice("abcdef") for _ in range(rng.randint(3, 8))),
+        ),
+    }
+
+
+def _operation_stream(items, draw, seed, count):
+    """A seeded search/insert/delete stream over the live item set."""
+    rng = random.Random(seed)
+    live = list(items)
+    operations = []
+    for _ in range(count):
+        kind = rng.choice(("search", "search", "insert", "delete"))
+        if kind == "insert":
+            item = draw(rng)
+            while item in live:
+                item = draw(rng)
+            live.append(item)
+        elif kind == "delete":
+            item = live.pop(rng.randrange(len(live)))
+        else:
+            item = draw(rng)
+        operations.append((kind, item))
+    return operations
+
+
+def _run_stream(cluster, operations):
+    calls = {"search": cluster.nearest, "insert": cluster.insert, "delete": cluster.delete}
+    handles = [calls[kind](item) for kind, item in operations]
+    return [(h.kind, h.status, h.value, h.messages, h.rounds) for h in handles]
+
+
+def _records(cluster):
+    web = cluster.structure.web
+    fields = {}
+    for entry, address in web._address_of.items():
+        record = web.network.load(address, check_alive=False)
+        fields[entry] = (
+            address,
+            record.unit,
+            record.neighbors,
+            record.down_units,
+            record.down_addresses,
+        )
+    return fields
+
+
+class TestDataclassRecordSnapshot:
+    """A snapshot pickled while records were dataclasses still restores."""
+
+    @pytest.mark.parametrize("family", ["skipquadtree", "skiptrie", "skipweb1d"])
+    def test_restores_like_a_never_snapshotted_twin(self, family, tmp_path, monkeypatch):
+        items, options, draw = _legacy_inputs()[family]
+        store = str(tmp_path / "legacy.jsonl")
+        legacy = Cluster(family, items, seed=SEED, storage=store, **options)
+        twin = Cluster(family, items, seed=SEED, storage=str(tmp_path / "twin.jsonl"), **options)
+        operations = _operation_stream(items, draw, seed=SEED, count=60)
+        warm_up, stream = operations[:20], operations[20:]
+        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
+
+        monkeypatch.setattr(snapshot_module, "pickle", _DataclassRecordPickle)
+        legacy.save()
+        monkeypatch.undo()
+        backend = open_storage(store)
+        _manifest, blob = backend.latest_snapshot()
+        backend.close()
+        assert b"down_links" in blob and b"neighbor_ranges" in blob
+        legacy.close()
+
+        restored = Cluster.recover(store)
+        web = restored.structure.web
+        record = web.network.load(next(iter(web._address_of.values())))
+        assert type(record) is SkipWebRecord and not hasattr(record, "__dict__")
+        assert _records(restored) == _records(twin)
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        assert _run_stream(restored, stream) == _run_stream(twin, stream)
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        restored.close()
+        twin.close()
 
 
 class TestCorruption:
