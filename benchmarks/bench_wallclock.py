@@ -5,9 +5,8 @@ the paper's cost model as ground truth; this module measures the other
 axis — how fast the simulator itself runs.  Seeded query / insert /
 range / churn workloads are timed over every structure family, under
 both executors (the immediate driver and the round-based
-:class:`~repro.engine.executor.BatchExecutor`), on the zero-allocation
-ledger substrate with bulk-load construction — the configuration the
-experiment registry runs in.
+:class:`~repro.engine.executor.BatchExecutor`), with bulk-load
+construction — the configuration the experiment registry runs in.
 
 Rows carry ``secs_per_op`` (the gated metric: lower is better),
 ``ops_per_sec`` and the process peak RSS at the end of the workload.
@@ -42,7 +41,6 @@ if __package__ in (None, ""):
 from repro.baselines import ChordDHT, SkipGraph
 from repro.engine import BatchExecutor, Operation, RepairEngine, run_immediate
 from repro.net.churn import ChurnController, churn_schedule
-from repro.net.network import ledger_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.spatial.geometry import Box, HyperCube
 from repro.spatial.skip_quadtree import SkipQuadtreeWeb
@@ -242,99 +240,96 @@ def wallclock_rows(
 ) -> list[Row]:
     """Time every (structure, workload, executor) cell; returns table rows.
 
-    Runs on the ledger substrate with bulk-load construction — the same
-    configuration the experiment registry uses — so the timings reflect
-    the fast path users actually get.  All workloads are seeded; the
+    Runs with bulk-load construction — the same configuration the
+    experiment registry uses — so the timings reflect the fast path users
+    actually get.  All workloads are seeded; the
     timings are the only non-deterministic column.
     """
     rows: list[Row] = []
     _startup_rss_kb()  # calibrate the RSS floor before any workload runs
-    with ledger_mode():
-        for scenario in _scenarios(n, queries, inserts, ranges, seed):
-            holder: dict[str, Any] = {}
+    for scenario in _scenarios(n, queries, inserts, ranges, seed):
+        holder: dict[str, Any] = {}
 
-            def build(scenario=scenario, holder=holder) -> None:
-                holder["structure"] = scenario.build()
+        def build(scenario=scenario, holder=holder) -> None:
+            holder["structure"] = scenario.build()
 
-            rows.append(_row(scenario.name, "build", "bulk", n, _timed(build)))
-            structure = holder["structure"]
+        rows.append(_row(scenario.name, "build", "bulk", n, _timed(build)))
+        structure = holder["structure"]
 
+        rows.append(
+            _row(
+                scenario.name,
+                "query",
+                "immediate",
+                len(scenario.queries),
+                _timed(lambda: _run_immediate_ops(structure, "query", scenario.queries)),
+            )
+        )
+        rows.append(
+            _row(
+                scenario.name,
+                "query",
+                "batched",
+                len(scenario.queries),
+                _timed(lambda: _run_batched_ops(structure, "query", scenario.queries)),
+            )
+        )
+        if scenario.ranges:
             rows.append(
                 _row(
                     scenario.name,
-                    "query",
+                    "range",
                     "immediate",
-                    len(scenario.queries),
-                    _timed(lambda: _run_immediate_ops(structure, "query", scenario.queries)),
+                    len(scenario.ranges),
+                    _timed(lambda: _run_immediate_ops(structure, "range", scenario.ranges)),
                 )
             )
             rows.append(
                 _row(
                     scenario.name,
-                    "query",
+                    "range",
                     "batched",
-                    len(scenario.queries),
-                    _timed(lambda: _run_batched_ops(structure, "query", scenario.queries)),
+                    len(scenario.ranges),
+                    _timed(lambda: _run_batched_ops(structure, "range", scenario.ranges)),
                 )
             )
-            if scenario.ranges:
-                rows.append(
-                    _row(
-                        scenario.name,
-                        "range",
-                        "immediate",
-                        len(scenario.ranges),
-                        _timed(lambda: _run_immediate_ops(structure, "range", scenario.ranges)),
-                    )
+        if scenario.inserts:
+            half = len(scenario.inserts) // 2
+            rows.append(
+                _row(
+                    scenario.name,
+                    "insert",
+                    "immediate",
+                    half,
+                    _timed(
+                        lambda: _run_immediate_ops(structure, "insert", scenario.inserts[:half])
+                    ),
                 )
-                rows.append(
-                    _row(
-                        scenario.name,
-                        "range",
-                        "batched",
-                        len(scenario.ranges),
-                        _timed(lambda: _run_batched_ops(structure, "range", scenario.ranges)),
-                    )
+            )
+            rows.append(
+                _row(
+                    scenario.name,
+                    "insert",
+                    "batched",
+                    len(scenario.inserts) - half,
+                    _timed(lambda: _run_batched_ops(structure, "insert", scenario.inserts[half:])),
                 )
-            if scenario.inserts:
-                half = len(scenario.inserts) // 2
-                rows.append(
-                    _row(
-                        scenario.name,
-                        "insert",
-                        "immediate",
-                        half,
-                        _timed(
-                            lambda: _run_immediate_ops(structure, "insert", scenario.inserts[:half])
-                        ),
-                    )
+            )
+        if scenario.churn and churn_events:
+            controller = ChurnController(
+                structure.network, RepairEngine(structure), rng=random.Random(seed)
+            )
+            schedule = churn_schedule(churn_events, random.Random(seed + 7))
+            rows.append(
+                _row(
+                    scenario.name,
+                    "churn",
+                    "rounds",
+                    churn_events,
+                    _timed(lambda: controller.run_schedule(schedule)),
                 )
-                rows.append(
-                    _row(
-                        scenario.name,
-                        "insert",
-                        "batched",
-                        len(scenario.inserts) - half,
-                        _timed(
-                            lambda: _run_batched_ops(structure, "insert", scenario.inserts[half:])
-                        ),
-                    )
-                )
-            if scenario.churn and churn_events:
-                controller = ChurnController(
-                    structure.network, RepairEngine(structure), rng=random.Random(seed)
-                )
-                schedule = churn_schedule(churn_events, random.Random(seed + 7))
-                rows.append(
-                    _row(
-                        scenario.name,
-                        "churn",
-                        "rounds",
-                        churn_events,
-                        _timed(lambda: controller.run_schedule(schedule)),
-                    )
-                )
-        rows.extend(_topology_rows(n, queries, seed))
+            )
+    rows.extend(_topology_rows(n, queries, seed))
     rows.extend(_durability_rows(seed))
     return rows
 

@@ -6,7 +6,7 @@ eleven structure classes, wrap a
 :class:`~repro.engine.executor.BatchExecutor` for concurrency, a
 :class:`~repro.engine.repair.RepairEngine` +
 :class:`~repro.net.churn.ChurnController` for membership change, and
-pick the ledger or tracing substrate.  ``Cluster`` composes all of that
+journal it for recovery.  ``Cluster`` composes all of that
 behind one constructor::
 
     from repro.api import Cluster
@@ -64,7 +64,7 @@ from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.faults import FaultPlan, faults_from_config, resolve_faults
 from repro.net.message import MessageKind
 from repro.net.naming import HostId
-from repro.net.network import Network, OperationStats, ledger_mode, tracing_mode
+from repro.net.network import Network, OperationStats
 from repro.net.topology import Topology, resolve_topology, topology_from_config
 from repro.storage import (
     DurabilityController,
@@ -324,8 +324,6 @@ class Cluster:
             )
 
     def _create_payload(self, items: Sequence[Any] | None) -> dict[str, Any]:
-        from repro.net.network import default_trace
-
         return {
             "structure": self.spec.name,
             "items": tuple(items) if items is not None else None,
@@ -345,9 +343,6 @@ class Cluster:
             ),
             "round_budget": self._round_budget,
             "options": dict(self._options),
-            "trace": (
-                self.network.trace if self._structure is not None else default_trace()
-            ),
         }
 
     def _attach_durability(self, controller: DurabilityController) -> None:
@@ -909,7 +904,6 @@ class Cluster:
             ),
             "round_budget": self._round_budget,
             "options": dict(self._options),
-            "trace": self.network.trace,
         }
 
     @classmethod
@@ -1054,33 +1048,30 @@ class Cluster:
             cluster.network.add_membership_listener(controller.membership_listener)
             controller.replay(cluster, records[manifest["upto"]:])
             return cluster
-        # Full from-genesis replay: re-run construction under the recorded
-        # accounting substrate, then re-execute every committed action.
-        substrate = tracing_mode() if create.get("trace") else ledger_mode()
-        with substrate:
-            cluster = cls(
-                structure=create["structure"],
-                items=create["items"],
-                hosts=create["hosts"],
-                memory_size=create["memory_size"],
-                seed=create["seed"],
-                mode=create["mode"],
-                topology=topology_from_config(create.get("topology")),
-                faults=faults_from_config(create.get("faults")),
-                round_budget=create.get("round_budget"),
-                max_retries=create["max_retries"],
-                join_fraction=create["join_fraction"],
-                min_hosts=create["min_hosts"],
-                **create["options"],
-            )
-            cluster._snapshot_every = create.get("snapshot_every", 0)
-            cluster._attach_durability(controller)
-            controller.applied_actions = 1  # the create record
-            if cluster._structure is not None:
-                cluster.network.add_membership_listener(
-                    controller.membership_listener
-                )
-            controller.replay(cluster, records[1:])
+        # Full from-genesis replay: re-run construction, then re-execute
+        # every committed action.  Keys no longer read (``trace``,
+        # ``workers``) are ignored.
+        cluster = cls(
+            structure=create["structure"],
+            items=create["items"],
+            hosts=create["hosts"],
+            memory_size=create["memory_size"],
+            seed=create["seed"],
+            mode=create["mode"],
+            topology=topology_from_config(create.get("topology")),
+            faults=faults_from_config(create.get("faults")),
+            round_budget=create.get("round_budget"),
+            max_retries=create["max_retries"],
+            join_fraction=create["join_fraction"],
+            min_hosts=create["min_hosts"],
+            **create["options"],
+        )
+        cluster._snapshot_every = create.get("snapshot_every", 0)
+        cluster._attach_durability(controller)
+        controller.applied_actions = 1  # the create record
+        if cluster._structure is not None:
+            cluster.network.add_membership_listener(controller.membership_listener)
+        controller.replay(cluster, records[1:])
         return cluster
 
     # ------------------------------------------------------------------ #

@@ -254,7 +254,12 @@ class DistributedOrderedStructure(abc.ABC):
         current_key = origin_key
         safety = 4 * len(self._keys) + 16
         for _ in range(safety):
-            table = self.network.load(self._table_addresses[self._host_of_key[current_key]])
+            host = self._host_of_key.get(current_key)
+            if host is None:
+                # A delete of the same batch removed the key this walk stands
+                # on: a conflict, which the executor retries from scratch.
+                raise QueryError(f"{self.name}: key {current_key!r} was deleted mid-walk")
+            table = self.network.load(self._table_addresses[host])
             next_key = self._route(table, current_key, query)
             if next_key is None:
                 return self._finish(query, current_key, cursor)
@@ -381,13 +386,19 @@ class DistributedOrderedStructure(abc.ABC):
         origin_host: HostId | None = None,
         origin_key: float | None = None,
     ) -> StepGenerator:
-        """Insertion as a resumable step generator (search, then table repair)."""
+        """Insertion as a resumable step generator (search, then table repair).
+
+        The precondition is checked again after the search, at the commit
+        point: a same-key insert of the same batch may have committed
+        while this one searched, and a second copy of the key must not be
+        stored.
+        """
         key = float(key)
-        if key in self._host_of_key:
-            raise UpdateError(f"{self.name}: key {key!r} already stored")
+        self._check_insert(key)
         search = yield from self.search_steps(
             key, origin_host=origin_host, origin_key=origin_key
         )
+        self._check_insert(key)
         self._keys = sorted(self._keys + [key])
         self._assign_new_key(key)
         self._after_ground_set_change()
@@ -416,16 +427,18 @@ class DistributedOrderedStructure(abc.ABC):
         origin_host: HostId | None = None,
         origin_key: float | None = None,
     ) -> StepGenerator:
-        """Deletion as a resumable step generator (search, then table repair)."""
+        """Deletion as a resumable step generator (search, then table repair).
+
+        The precondition is checked again after the search, at the commit
+        point.
+        """
         key = float(key)
-        if key not in self._host_of_key:
-            raise UpdateError(f"{self.name}: key {key!r} is not stored")
-        if len(self._keys) == 1:
-            raise UpdateError(f"{self.name}: cannot delete the last key")
+        self._check_delete(key)
         origin_key = self._delete_origin_key(key, origin_key)
         search = yield from self.search_steps(
             key, origin_host=origin_host, origin_key=origin_key
         )
+        self._check_delete(key)
         self._keys = [existing for existing in self._keys if existing != key]
         self._host_of_key.pop(key)
         self._after_ground_set_change()
@@ -440,6 +453,16 @@ class DistributedOrderedStructure(abc.ABC):
             propagate_messages=messages,
             hosts_touched=changed_count,
         )
+
+    def _check_insert(self, key: float) -> None:
+        if key in self._host_of_key:
+            raise UpdateError(f"{self.name}: key {key!r} already stored")
+
+    def _check_delete(self, key: float) -> None:
+        if key not in self._host_of_key:
+            raise UpdateError(f"{self.name}: key {key!r} is not stored")
+        if len(self._keys) == 1:
+            raise UpdateError(f"{self.name}: cannot delete the last key")
 
     def _delete_origin_key(self, key: float, origin_key: float | None) -> float:
         """Origin key for a delete's search: never the key being deleted.

@@ -36,7 +36,6 @@ function               reproduces
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from statistics import mean
@@ -49,7 +48,6 @@ from repro.core.ranges import Interval
 from repro.engine import Operation
 from repro.errors import ChurnError
 from repro.net.churn import churn_schedule
-from repro.net.network import ledger_mode
 from repro.onedim import SortedListStructure
 from repro.planar.segments import bounding_box
 from repro.planar.skip_trapezoid import TrapezoidalMapStructure, Window
@@ -82,25 +80,6 @@ def _cluster(name: str, items: Sequence[Any], **kwargs: Any) -> Cluster:
 def _structure(name: str, items: Sequence[Any], **kwargs: Any) -> Any:
     """Shorthand for experiments that only need the raw structure."""
     return _cluster(name, items, **kwargs).structure
-
-
-def _ledger(function: Callable[..., list[Row]]) -> Callable[..., list[Row]]:
-    """Run an experiment on the zero-allocation ledger substrate.
-
-    Experiments only ever read counters, so their rows are byte-identical
-    between the traced and ledger substrates (asserted by
-    ``tests/test_perf_equivalence.py``); the ledger one just skips the
-    per-delivery :class:`~repro.net.message.Message` allocation.  An
-    enclosing :func:`repro.net.network.tracing_mode` block (the CLI's
-    ``--trace`` flag) re-enables full tracing for debugging.
-    """
-
-    @functools.wraps(function)
-    def wrapper(*args: Any, **kwargs: Any) -> list[Row]:
-        with ledger_mode():
-            return function(*args, **kwargs)
-
-    return wrapper
 
 
 def _query_points(
@@ -170,7 +149,6 @@ def _run_units(units: Sequence[Callable[[], list[Row]]]) -> list[list[Row]]:
 # --------------------------------------------------------------------- #
 # Table 1
 # --------------------------------------------------------------------- #
-@_ledger
 def table1_comparison(
     sizes: Sequence[int] = (128, 256, 512),
     queries_per_size: int = 40,
@@ -276,7 +254,6 @@ def table1_comparison(
 # --------------------------------------------------------------------- #
 # Figure 1 — the classic skip list
 # --------------------------------------------------------------------- #
-@_ledger
 def fig1_skiplist(
     sizes: Sequence[int] = (128, 512, 2048, 8192),
     queries_per_size: int = 200,
@@ -306,7 +283,6 @@ def fig1_skiplist(
 # --------------------------------------------------------------------- #
 # Figure 2 — one-dimensional skip-web levels
 # --------------------------------------------------------------------- #
-@_ledger
 def fig2_skipweb_levels(n: int = 256, queries: int = 60, seed: int = 0) -> list[Row]:
     """Level-structure statistics plus per-level query messages for a 1-d skip-web."""
     rng = random.Random(seed)
@@ -338,7 +314,6 @@ def fig2_skipweb_levels(n: int = 256, queries: int = 60, seed: int = 0) -> list[
 # --------------------------------------------------------------------- #
 # Set-halving lemmas (Lemma 1, 3, 4, 5 / Figures 3 and 4)
 # --------------------------------------------------------------------- #
-@_ledger
 def lemma1_list(
     sizes: Sequence[int] = (64, 256, 1024),
     trials: int = 12,
@@ -368,7 +343,6 @@ def lemma1_list(
     return rows
 
 
-@_ledger
 def fig3_quadtree(
     sizes: Sequence[int] = (64, 256, 1024),
     trials: int = 8,
@@ -402,7 +376,6 @@ def fig3_quadtree(
     return rows
 
 
-@_ledger
 def lemma4_trie(
     sizes: Sequence[int] = (64, 256, 1024),
     trials: int = 8,
@@ -429,7 +402,6 @@ def lemma4_trie(
     return rows
 
 
-@_ledger
 def fig4_trapezoid(
     sizes: Sequence[int] = (16, 32, 64),
     trials: int = 6,
@@ -468,7 +440,6 @@ def fig4_trapezoid(
 # --------------------------------------------------------------------- #
 # Theorem 2 — query message complexity
 # --------------------------------------------------------------------- #
-@_ledger
 def theorem2_multidim(
     sizes: Sequence[int] = (64, 128, 256),
     queries_per_size: int = 25,
@@ -538,7 +509,6 @@ def theorem2_multidim(
     return rows
 
 
-@_ledger
 def theorem2_onedim(
     sizes: Sequence[int] = (128, 512, 2048),
     memory_sizes: Sequence[int] = (16, 64, 256),
@@ -721,7 +691,6 @@ def _range_scenarios(n: int, bucket_memory: int, seed: int):
     )
 
 
-@_ledger
 def range_queries(
     sizes: Sequence[int] = (48, 96, 192),
     target_ks: Sequence[int] = (4, 16),
@@ -810,7 +779,6 @@ def range_queries(
 # --------------------------------------------------------------------- #
 # §4 — update costs
 # --------------------------------------------------------------------- #
-@_ledger
 def update_costs(
     sizes: Sequence[int] = (64, 128, 256),
     updates_per_size: int = 10,
@@ -873,7 +841,6 @@ def update_costs(
 # --------------------------------------------------------------------- #
 # Ablation: blocking strategies (§2.4 vs §2.4.1)
 # --------------------------------------------------------------------- #
-@_ledger
 def ablation_blocking(
     n: int = 512,
     memory_sizes: Sequence[int] = (16, 64, 256),
@@ -952,7 +919,6 @@ def _throughput_row(
     }
 
 
-@_ledger
 def throughput(
     sizes: Sequence[int] = (128, 256),
     ops_per_size: int = 400,
@@ -1056,7 +1022,6 @@ def throughput(
     return [row for unit_rows in _run_units(units) for row in unit_rows]
 
 
-@_ledger
 def congestion_rounds(
     sizes: Sequence[int] = (64, 128, 256, 512),
     queries_per_host: int = 1,
@@ -1153,7 +1118,6 @@ def _churn_scenarios(n: int, seed: int, **cluster_kwargs: Any):
     )
 
 
-@_ledger
 def churn(
     sizes: Sequence[int] = (64,),
     events: int = 6,
@@ -1227,7 +1191,6 @@ def churn(
     return rows
 
 
-@_ledger
 def topology_comparison(
     sizes: Sequence[int] = (64,),
     ops: int = 48,
@@ -1275,7 +1238,6 @@ def topology_comparison(
     return rows
 
 
-@_ledger
 def fault_tolerance(
     sizes: Sequence[int] = (48,),
     ops: int = 48,

@@ -53,12 +53,10 @@ import inspect
 import io
 import json
 import sys
-from contextlib import nullcontext
 from typing import Any, Sequence
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.reporting import format_table
-from repro.net.network import tracing_mode
 from repro.net.topology import TOPOLOGY_NAMES
 
 
@@ -173,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="run each experiment under cProfile and print the top N functions "
         "by cumulative time to stderr (default N: 20)",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="force full message tracing (experiments default to the faster "
-        "zero-allocation ledger substrate; counters are identical either way)",
     )
     durability = parser.add_argument_group("durability ('workload' experiment only)")
     durability.add_argument(
@@ -567,28 +559,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.kill_after is not None and args.save is None:
             parser.error("--kill-after requires --save (nothing would survive)")
         return _run_workload(args)
-    with tracing_mode() if args.trace else nullcontext():
-        if args.experiment == "all":
-            for name in sorted(EXPERIMENTS):
-                _run_one(
-                    name,
-                    args.seed,
-                    args.output_format,
-                    args.sizes,
-                    args.profile,
-                    args.topology,
-                    args.faults,
-                )
-            return 0
-        _run_one(
-            args.experiment,
-            args.seed,
-            args.output_format,
-            args.sizes,
-            args.profile,
-            args.topology,
-            args.faults,
-        )
+    if args.experiment == "all":
+        for name in sorted(EXPERIMENTS):
+            _run_one(
+                name,
+                args.seed,
+                args.output_format,
+                args.sizes,
+                args.profile,
+                args.topology,
+                args.faults,
+            )
+        return 0
+    _run_one(
+        args.experiment,
+        args.seed,
+        args.output_format,
+        args.sizes,
+        args.profile,
+        args.topology,
+        args.faults,
+    )
     return 0
 
 

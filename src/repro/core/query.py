@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.engine.steps import StepCursor, StepGenerator, run_immediate
+from repro.engine.steps import StepCursor, StepGenerator, read_local, run_immediate
 from repro.errors import QueryError
 from repro.net.message import MessageKind
 from repro.net.naming import Address, HostId
@@ -82,6 +82,7 @@ def _choose_entry(structure_cls, query: Any, units: tuple, addresses: tuple) -> 
 def _settle_within_level(
     structure_cls,
     cursor: StepCursor,
+    load,
     query: Any,
     record,
 ) -> StepGenerator:
@@ -90,6 +91,8 @@ def _settle_within_level(
     ``record`` is the record reached by following a hyperlink; the walk
     follows the structure's own links (each record stores its neighbours'
     keys, ranges and addresses), charging a message per host crossing.
+    A neighbour on the cursor's own host is read in place (see
+    :func:`~repro.engine.steps.read_local`).
     """
     current = record
     advance = structure_cls.advance
@@ -106,7 +109,9 @@ def _settle_within_level(
                 f"advance returned unknown neighbour key {next_key!r} "
                 f"from unit {current.unit.key!r}"
             ) from exc
-        current = yield from cursor.visit(address)
+        current = read_local(load, cursor, address)
+        if current is None:
+            current = yield from cursor.visit(address)
     raise QueryError("intra-level navigation did not terminate (structure bug)")
 
 
@@ -125,24 +130,28 @@ def descend_steps(skipweb, query: Any, cursor: StepCursor) -> StepGenerator:
     if not root_entries:
         raise QueryError("skip-web has no records (empty structure)")
 
+    structure_cls = skipweb.structure_cls
+    load = skipweb.network.load
     per_level_messages: list[int] = []
     hops_before = cursor.hops
     root_units, root_addresses = zip(*root_entries)
-    entry_address = _choose_entry(skipweb.structure_cls, query, root_units, root_addresses)
-    record = yield from cursor.visit(entry_address)
-    current = yield from _settle_within_level(skipweb.structure_cls, cursor, query, record)
+    entry_address = _choose_entry(structure_cls, query, root_units, root_addresses)
+    record = read_local(load, cursor, entry_address)
+    if record is None:
+        record = yield from cursor.visit(entry_address)
+    current = yield from _settle_within_level(structure_cls, cursor, load, query, record)
     per_level_messages.append(cursor.hops - hops_before)
     levels_descended = 0
 
     while current.level > 0:
         hops_before = cursor.hops
         entry_address = _choose_entry(
-            skipweb.structure_cls, query, current.down_units, current.down_addresses
+            structure_cls, query, current.down_units, current.down_addresses
         )
-        record = yield from cursor.visit(entry_address)
-        current = yield from _settle_within_level(
-            skipweb.structure_cls, cursor, query, record
-        )
+        record = read_local(load, cursor, entry_address)
+        if record is None:
+            record = yield from cursor.visit(entry_address)
+        current = yield from _settle_within_level(structure_cls, cursor, load, query, record)
         per_level_messages.append(cursor.hops - hops_before)
         levels_descended += 1
 

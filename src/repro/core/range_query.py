@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.query import descend_steps
-from repro.engine.steps import StepCursor, StepGenerator, run_immediate
+from repro.engine.steps import StepCursor, StepGenerator, read_local, run_immediate
 from repro.net.message import MessageKind
 from repro.net.naming import Address, HostId
 
@@ -136,18 +136,22 @@ def report_walk(
     query_range: Any,
     entries: Sequence[tuple[Any, Address]],
     start_host: HostId,
+    load,
 ) -> StepGenerator:
     """One report sub-walk: visit each record, decode its matches locally.
 
     ``entries`` are (unit, address) pairs in walk order; co-located
-    consecutive records are free (the cursor only charges host
-    crossings), which is what makes the report phase output-sensitive
-    rather than paying ``k`` messages unconditionally.
+    consecutive records are free (the walk reads them in place with
+    ``load``, the network's uncharged dereference, and the cursor only
+    charges host crossings), which is what makes the report phase
+    output-sensitive rather than paying ``k`` messages unconditionally.
     """
     cursor = StepCursor(start_host)
     values: list[Any] = []
     for _unit, address in entries:
-        record = yield from cursor.visit(address)
+        record = read_local(load, cursor, address)
+        if record is None:
+            record = yield from cursor.visit(address)
         values.extend(structure.report_values(query_range, record.unit))
     return RangeBranchReport(
         values=tuple(values),
@@ -182,9 +186,10 @@ def range_steps(
         (unit, skipweb.address_of(0, (), unit.key)) for unit in matched_units
     ]
     chunks = partition_walks(entries, fan_out)
+    load = skipweb.network.load
     reports = yield from cursor.fork(
         [
-            report_walk(level0, query_range, chunk, cursor.current_host)
+            report_walk(level0, query_range, chunk, cursor.current_host, load)
             for chunk in chunks
         ]
     )

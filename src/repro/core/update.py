@@ -346,6 +346,18 @@ def _meets(unit_range, ranges) -> bool:
     return any(ranges_conflict(unit_range, other) for other in ranges)
 
 
+def _check_insert(skipweb, item: Any) -> None:
+    if item in skipweb._membership:
+        raise UpdateError(f"item {item!r} is already stored in the skip-web")
+
+
+def _check_delete(skipweb, item: Any) -> None:
+    if item not in skipweb._membership:
+        raise UpdateError(f"item {item!r} is not stored in the skip-web")
+    if skipweb.ground_set_size == 1:
+        raise UpdateError("cannot delete the last item of a skip-web")
+
+
 def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     """Insertion of ``item`` as a resumable step generator (messages per §4).
 
@@ -357,9 +369,14 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     interrupted mid-charge (e.g. by a host failure in a batch) leaves
     the skip-web fully updated and consistent; only its billing is
     incomplete.
+
+    The apply is the update's commit point (its linearization point):
+    the precondition is checked again there, after the search, because
+    another update of the same item in the same batch may have
+    committed while this one was searching.  Either check fails the
+    operation with :class:`UpdateError` and changes nothing.
     """
-    if item in skipweb._membership:
-        raise UpdateError(f"item {item!r} is already stored in the skip-web")
+    _check_insert(skipweb, item)
 
     # Step 1: locate the insertion position (a query descent).
     search = yield from query_steps(
@@ -368,7 +385,9 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     search_messages = search.messages
     start_host = search.hosts_visited[-1] if search.hosts_visited else origin_host
 
-    # Step 2: draw the membership word and register ownership.
+    # Step 2 (the commit point): draw the membership word and register
+    # ownership.
+    _check_insert(skipweb, item)
     word = skipweb._membership.assign(item)
     skipweb._record_owner(item, origin_host)
     if origin_host not in skipweb._root_word_of_host:
@@ -415,11 +434,12 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
 
 
 def delete_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
-    """Deletion of ``item`` as a resumable step generator (messages per §4)."""
-    if item not in skipweb._membership:
-        raise UpdateError(f"item {item!r} is not stored in the skip-web")
-    if skipweb.ground_set_size == 1:
-        raise UpdateError("cannot delete the last item of a skip-web")
+    """Deletion of ``item`` as a resumable step generator (messages per §4).
+
+    Like :func:`insert_steps`, it checks its precondition again at the
+    commit point, after the search.
+    """
+    _check_delete(skipweb, item)
 
     # Step 1: locate the item (a query descent).
     search = yield from query_steps(
@@ -428,6 +448,7 @@ def delete_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     search_messages = search.messages
     start_host = search.hosts_visited[-1] if search.hosts_visited else origin_host
 
+    _check_delete(skipweb, item)  # the commit point
     word = skipweb._membership.forget(item)
     skipweb._forget_owner(item)
     skipweb._reroot_hosts_at(word)

@@ -24,7 +24,12 @@ lone operations and :class:`repro.engine.repair.RepairEngine` charge with
 Generators do not talk to the network themselves for remote state; they
 use a :class:`StepCursor` (``yield from cursor.visit(address)``) which
 forwards the effect to whichever driver is in charge.  Local work between
-effects is free, matching the paper's cost model.
+effects is free, matching the paper's cost model, and that includes a
+read of an address on the walk's current host: the query walks read such
+an address themselves (:func:`read_local`, the same uncharged
+``Network.load`` a driver would call) and yield a :class:`Visit` only
+for a remote address, or for a local read that raised so the driver can
+re-raise or handle the error exactly as it would for any visit.
 
 The effect classes are deliberately *not* dataclasses: they are plain
 ``__slots__`` classes carrying an integer ``op`` class attribute
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Union
 
+from repro.errors import ReproError
 from repro.net.message import MessageKind
 from repro.net.naming import Address, HostId
 
@@ -255,6 +261,25 @@ class StepCursor:
         if self._current == destination:
             yield from self.hop_to(origin)
         yield from self.hop_to(destination)
+
+
+def read_local(load, cursor: StepCursor, address: Address) -> Any:
+    """Read ``address`` in place when it lives on the cursor's host.
+
+    ``load`` is the network's uncharged dereference
+    (:meth:`repro.net.network.Network.load`).  Returns the stored item,
+    or ``None`` when the address is remote or the read raised; the
+    walk then yields ``cursor.visit(address)``, so a failed read reaches
+    the driver as an ordinary local :class:`Visit`, which re-reads and
+    raises (or handles) the error the same way.  Stored records are
+    never ``None``.
+    """
+    if address.host != cursor._current:
+        return None
+    try:
+        return load(address)
+    except ReproError:
+        return None
 
 
 def local_steps(value: Any) -> StepGenerator:

@@ -35,7 +35,7 @@ single-process simulator:
 """
 
 from repro.net.naming import Address, HostId, fresh_host_ids
-from repro.net.message import Message, MessageKind, MessageLog
+from repro.net.message import MessageKind, MessageLog
 from repro.net.host import Host
 from repro.net.network import Network, OperationStats, PendingDelivery, RoundReport
 from repro.net.topology import (
@@ -73,7 +73,6 @@ __all__ = [
     "Address",
     "HostId",
     "fresh_host_ids",
-    "Message",
     "MessageKind",
     "MessageLog",
     "Host",

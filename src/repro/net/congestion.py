@@ -174,9 +174,7 @@ def summarize_round_reports(reports) -> RoundCongestionReport:
 
     A single pass over the reports: every report already carries its own
     per-round maximum (``max_load`` / ``max_load_host``, computed when the
-    round closed), so no per-host dictionaries are re-scanned here — and
-    ledger-mode reports, whose ``per_host`` dicts were dropped, summarise
-    identically to traced ones.
+    round closed), so no per-host dictionaries are re-scanned here.
     """
     per_round_max: list[int] = []
     busiest_host: HostId | None = None
@@ -194,16 +192,12 @@ def summarize_round_reports(reports) -> RoundCongestionReport:
     best_cluster = 0
     for report in reports:
         count += 1
-        load = report.max_host_load
+        load = report.max_load
         per_round_max.append(load)
         total += report.delivered
         if load > best:
             best = load
-            busiest_host = (
-                report.max_load_host
-                if report.max_load >= 0
-                else max(report.per_host, key=report.per_host.__getitem__, default=None)
-            )
+            busiest_host = report.max_load_host
             busiest_round = report.index
         # Rounds recorded under an explicit topology carry the weighted
         # per-link / per-cluster maxima; flat-default rounds keep the

@@ -1,18 +1,18 @@
-"""Messages exchanged between hosts.
+"""Message kinds and the ledger that counts them.
 
 Messages are the unit of cost in the paper: the query cost ``Q(n)`` and
 update cost ``U(n)`` are both defined as *numbers of messages* (§1.1).
-The simulator therefore records every message explicitly, tagged with a
-:class:`MessageKind` so benchmarks can break costs down by purpose
-(query routing, update propagation, structure construction, ...).
+The simulator counts every delivery on a :class:`MessageLog` — per kind
+and per host, sent and received — tagged with a :class:`MessageKind` so
+benchmarks can break costs down by purpose (query routing, update
+propagation, structure construction, ...).  A delivery is a tally, not
+an object: nothing in the cost model reads a message's contents.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.net.naming import HostId
 
@@ -39,47 +39,13 @@ class MessageKind(enum.Enum):
     """Anything else (membership, maintenance, failure probes)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A single message from ``src`` to ``dst``.
-
-    The payload is opaque to the network; structures put whatever routing
-    state they need in it.  ``seq`` is a globally increasing sequence
-    number assigned by the :class:`~repro.net.network.Network`, useful for
-    ordering assertions in tests.
-    """
-
-    seq: int
-    src: HostId
-    dst: HostId
-    kind: MessageKind
-    payload: Any = None
-
-    @property
-    def is_local(self) -> bool:
-        """``True`` when source and destination are the same host.
-
-        The network never creates such messages (local work is free in the
-        cost model); the property exists for defensive assertions.
-        """
-        return self.src == self.dst
-
-
 class MessageLog:
-    """An append-only log of messages with cheap per-kind counters.
+    """Counters of every delivered message: per kind, per host, per fault verb."""
 
-    The log can be bounded (``keep_messages=False``) so that very large
-    benchmark runs only pay for counters, not for storing every message
-    object.
-    """
-
-    def __init__(self, keep_messages: bool = True) -> None:
-        self._keep_messages = keep_messages
-        self._messages: list[Message] = []
+    def __init__(self) -> None:
         self._counts: dict[MessageKind, int] = {kind: 0 for kind in MessageKind}
         self._per_host_received: dict[HostId, int] = {}
         self._per_host_sent: dict[HostId, int] = {}
-        self._seq = itertools.count()
         # Fault-injection tallies (repro.net.faults).  Dropped/delayed
         # deliveries are *not* counted as messages — they never reached
         # their destination this round — so they get their own counters.
@@ -87,24 +53,8 @@ class MessageLog:
         self._duplicated = 0
         self._delayed = 0
 
-    def record(self, src: HostId, dst: HostId, kind: MessageKind, payload: Any = None) -> Message:
-        """Create, count and (optionally) store a message."""
-        message = Message(seq=next(self._seq), src=src, dst=dst, kind=kind, payload=payload)
-        self._counts[kind] += 1
-        self._per_host_received[dst] = self._per_host_received.get(dst, 0) + 1
-        self._per_host_sent[src] = self._per_host_sent.get(src, 0) + 1
-        if self._keep_messages:
-            self._messages.append(message)
-        return message
-
     def tally(self, src: HostId, dst: HostId, kind: MessageKind) -> None:
-        """Count one message without materialising a :class:`Message`.
-
-        The ledger-mode fast path of :class:`repro.net.network.Network`:
-        every counter (per-kind, per-host sent/received, total) advances
-        exactly as :meth:`record` would advance it, but no message object
-        is allocated and nothing is appended to the stored-message list.
-        """
+        """Count one message from ``src`` to ``dst``."""
         self._counts[kind] += 1
         self._per_host_received[dst] = self._per_host_received.get(dst, 0) + 1
         self._per_host_sent[src] = self._per_host_sent.get(src, 0) + 1
@@ -112,20 +62,16 @@ class MessageLog:
     def __setstate__(self, state: dict[str, Any]) -> None:
         # Snapshots written before the fault-injection subsystem carry
         # logs without the fault tallies; back-fill zeros on unpickle.
+        # Older logs also stored message objects and a sequence counter,
+        # which no longer exist.
+        for attribute in ("_keep_messages", "_messages", "_seq"):
+            state.pop(attribute, None)
         self.__dict__.update(state)
         for attribute in ("_dropped", "_duplicated", "_delayed"):
             self.__dict__.setdefault(attribute, 0)
 
     def __len__(self) -> int:
         return sum(self._counts.values())
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
-
-    @property
-    def messages(self) -> list[Message]:
-        """The stored messages (empty when ``keep_messages`` is ``False``)."""
-        return list(self._messages)
 
     def count(self, kind: MessageKind | None = None) -> int:
         """Total number of messages, optionally restricted to one kind."""
@@ -178,8 +124,7 @@ class MessageLog:
         return ranked[:top]
 
     def clear(self) -> None:
-        """Forget all messages and reset every counter."""
-        self._messages.clear()
+        """Reset every counter."""
         self._counts = {kind: 0 for kind in MessageKind}
         self._per_host_received.clear()
         self._per_host_sent.clear()

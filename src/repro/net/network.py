@@ -30,17 +30,14 @@ logical operations so that the paper's per-host congestion bounds
 (O(log n / log log n) w.h.p., Theorem 2) can be *measured per round*
 rather than inferred from pointer counts; see :mod:`repro.engine`.
 
-Two accounting substrates are supported as well.  With ``trace=True``
-(the default) every delivery materialises a :class:`Message` and flows
-through the :class:`MessageLog` exactly as before — what tests and
-debugging want.  With ``trace=False`` the network runs in **ledger
-mode**: deliveries bump integer counters (total, per-kind, per-host,
-per-round, per-measure snapshot) and allocate no message object, no log
-entry and no per-delivery ticket in the round fast path.  Every counter
-any benchmark reads — :class:`OperationStats`, :class:`RoundReport`
-aggregates, congestion summaries — is byte-identical between the two
-substrates; ledger mode only removes per-delivery allocation from the
-hot path (see DESIGN.md §6).
+There is one delivery path.  A delivery is a tally on the ledger —
+integer counters per kind, per host, per round and per open
+:meth:`measure` block — and never a message object: the cost model
+counts messages and reads nothing else about them.  In round mode every
+:meth:`post` queues one :class:`PendingDelivery` ticket, which
+:meth:`run_round` resolves or fails on its own, so a host that fails
+between posting and delivery fails only the tickets that touch it (see
+DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -57,72 +54,9 @@ from repro.errors import (
 )
 from repro.net.faults import FaultPlan, resolve_faults
 from repro.net.host import Host
-from repro.net.message import Message, MessageKind, MessageLog
+from repro.net.message import MessageKind, MessageLog
 from repro.net.naming import Address, HostId
 from repro.net.topology import Topology, resolve_topology
-
-#: Module-wide default for ``Network(trace=...)`` when the caller does not
-#: pass an explicit value.  Tests and interactive use keep full tracing;
-#: the experiment registry flips this to ledger mode for wall-clock speed
-#: (see :func:`ledger_mode`).
-_DEFAULT_TRACE = True
-#: Set by :func:`tracing_mode`: while locked, :func:`ledger_mode` is a
-#: no-op, so an outer "I need message objects" request (the CLI's
-#: ``--trace`` flag, a debugging session) wins over the experiment
-#: registry's blanket ledger default.
-_TRACE_LOCKED = False
-
-
-def set_default_trace(enabled: bool) -> None:
-    """Set the accounting substrate newly created networks default to."""
-    global _DEFAULT_TRACE
-    _DEFAULT_TRACE = bool(enabled)
-
-
-def default_trace() -> bool:
-    """The substrate a ``Network()`` created right now would use."""
-    return _DEFAULT_TRACE
-
-
-@contextmanager
-def ledger_mode() -> Iterator[None]:
-    """Create networks in ledger (``trace=False``) mode inside the block.
-
-    Only affects networks constructed without an explicit ``trace``
-    argument; an explicit ``Network(trace=True)`` still traces, and an
-    enclosing :func:`tracing_mode` block turns this into a no-op.  Nests
-    and restores the previous default on exit.
-    """
-    global _DEFAULT_TRACE
-    if _TRACE_LOCKED:
-        yield
-        return
-    previous = _DEFAULT_TRACE
-    _DEFAULT_TRACE = False
-    try:
-        yield
-    finally:
-        _DEFAULT_TRACE = previous
-
-
-@contextmanager
-def tracing_mode() -> Iterator[None]:
-    """Force full tracing for networks created inside the block.
-
-    The counterpart of :func:`ledger_mode`, used by the CLI's ``--trace``
-    flag to re-enable message objects under experiment functions that
-    default to the ledger substrate; nested :func:`ledger_mode` blocks
-    are suppressed while it is active.
-    """
-    global _DEFAULT_TRACE, _TRACE_LOCKED
-    previous = (_DEFAULT_TRACE, _TRACE_LOCKED)
-    _DEFAULT_TRACE = True
-    _TRACE_LOCKED = True
-    try:
-        yield
-    finally:
-        _DEFAULT_TRACE, _TRACE_LOCKED = previous
-
 
 @dataclass
 class OperationStats:
@@ -157,15 +91,13 @@ class OperationStats:
 class RoundReport:
     """Delivery summary of one network round.
 
-    ``per_host`` maps each host to the number of messages it received
+    ``max_load`` is the largest number of messages any one host received
     during the round — the directly-measured per-host per-round
-    congestion.  In ledger mode the dict is dropped after the round's
-    maximum is folded into ``max_load`` / ``max_load_host`` (so long
-    churn runs stop accumulating O(rounds × hosts) memory); the
-    aggregates every benchmark reads are identical either way.
-    ``dropped`` counts messages whose destination (or source) host had
-    failed; those deliveries carry a :class:`HostFailedError` on their
-    ticket instead of reaching the log.
+    congestion — and ``max_load_host`` that host (the first to reach the
+    maximum; ``None`` when nothing was delivered).  ``dropped`` counts
+    messages whose destination (or source) host had failed; those
+    deliveries carry a :class:`HostFailedError` on their ticket instead
+    of reaching the log.
 
     The topology-aware fields (``weight``, ``max_link_load`` /
     ``max_link``, ``max_cluster_load`` / ``max_cluster``) are only
@@ -181,9 +113,8 @@ class RoundReport:
 
     index: int
     delivered: int
-    per_host: dict[HostId, int]
     dropped: int = 0
-    max_load: int = -1
+    max_load: int = 0
     max_load_host: HostId | None = None
     weight: int = 0
     max_link_load: int = 0
@@ -199,64 +130,40 @@ class RoundReport:
     @property
     def max_host_load(self) -> int:
         """Largest number of messages any single host received this round."""
-        if self.max_load >= 0:
-            return self.max_load
-        return max(self.per_host.values(), default=0)
+        return self.max_load
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        # Reports pickled before the per-host load dict was dropped carry it.
+        for name, value in state[1].items():
+            if name != "per_host":
+                setattr(self, name, value)
 
 
 class PendingDelivery:
     """A queued message awaiting the next :meth:`Network.run_round`.
 
-    After the round runs, exactly one of ``delivered`` / ``error`` is set;
-    :meth:`result` re-raises the delivery error, if any, in the caller's
-    context (the :class:`~repro.engine.executor.BatchExecutor` uses this
-    to fail only the one in-flight operation that touched a dead host).
+    After the round runs, ``error`` is set when the delivery failed;
+    :meth:`result` re-raises it in the caller's context (the
+    :class:`~repro.engine.executor.BatchExecutor` uses this to fail only
+    the one in-flight operation that touched a dead host) and returns
+    ``None`` for a delivered ticket.
     """
 
-    __slots__ = ("src", "dst", "kind", "payload", "delivered", "error", "deferred")
+    __slots__ = ("src", "dst", "kind", "error", "deferred")
 
-    def __init__(self, src: HostId, dst: HostId, kind: MessageKind, payload: Any) -> None:
+    def __init__(self, src: HostId, dst: HostId, kind: MessageKind) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
-        self.payload = payload
-        self.delivered: Message | None = None
         self.error: Exception | None = None
         # Set by a fault plan's "delay" verb: the ticket is parked for a
-        # later round and is not yet resolved (``delivered`` stays None
-        # in ledger mode even after success, so the flag — not the
-        # fields — is the executor's "still in flight" signal).
+        # later round and is not yet resolved.
         self.deferred = False
 
-    def result(self) -> Message | None:
-        """The delivered message, or raise the delivery error."""
+    def result(self) -> None:
+        """Return once delivered, or raise the delivery error."""
         if self.error is not None:
             raise self.error
-        return self.delivered
-
-
-class _DeliveredTicket:
-    """The shared always-succeeds ticket of the ledger-mode fast path.
-
-    When no host has failed at post time, ledger mode queues deliveries
-    as plain tuples and hands every caller this singleton instead of a
-    fresh :class:`PendingDelivery`.  Failures injected by the engine's
-    hooks happen *between* rounds (after delivery, before the next
-    posts), so any post that could observe a failed host takes the
-    ticketed slow path and error reporting is unchanged.
-    """
-
-    __slots__ = ()
-
-    #: The fast-path singleton is only handed out when no fault plan is
-    #: installed, so it can never be deferred.
-    deferred = False
-
-    def result(self) -> None:
-        return None
-
-
-_OK_TICKET = _DeliveredTicket()
 
 
 class Network:
@@ -269,13 +176,6 @@ class Network:
         no explicit limit is provided.  ``None`` (the default) leaves
         hosts unbounded, which is appropriate when memory usage is being
         measured rather than enforced.
-    keep_messages:
-        Whether the underlying :class:`MessageLog` stores message objects
-        (useful in tests) or only counters (faster for large benchmarks).
-    trace:
-        ``True`` (the default outside :func:`ledger_mode`) materialises a
-        :class:`Message` per delivery; ``False`` runs the zero-allocation
-        ledger substrate.  All counters are identical either way.
     round_report_retention:
         Keep at most this many full :class:`RoundReport` entries per round
         session (oldest dropped first); ``None`` keeps them all.  The
@@ -295,26 +195,13 @@ class Network:
     def __init__(
         self,
         default_memory_limit: int | None = None,
-        keep_messages: bool = False,
-        trace: bool | None = None,
         round_report_retention: int | None = None,
         topology: Topology | str | None = None,
         faults: FaultPlan | str | None = None,
     ) -> None:
         self.default_memory_limit = default_memory_limit
-        if trace is None:
-            # Asking for stored message objects implies the tracing
-            # substrate even under an ambient ledger_mode() default.
-            self._trace = True if keep_messages else _DEFAULT_TRACE
-        else:
-            self._trace = bool(trace)
-            if keep_messages and not self._trace:
-                raise ValueError(
-                    "keep_messages=True requires the tracing substrate; "
-                    "ledger mode (trace=False) never materialises messages"
-                )
         self._hosts: dict[HostId, Host] = {}
-        self._log = MessageLog(keep_messages=keep_messages)
+        self._log = MessageLog()
         self._next_host_id = 0
         self._measure_stack: list[OperationStats] = []
         self._failed_hosts: set[HostId] = set()
@@ -334,7 +221,6 @@ class Network:
         # Round-based delivery state (inactive in the default immediate mode).
         self._round_mode = False
         self._pending: list[PendingDelivery] = []
-        self._pending_fast: list[tuple[HostId, HostId, MessageKind]] = []
         self._round_index = 0
         self._round_per_host: dict[HostId, int] = {}
         self._round_delivered = 0
@@ -364,18 +250,13 @@ class Network:
         self._session_busiest_cluster: int | None = None
         self._session_busiest_cluster_load = 0
         # Fault injection (repro.net.faults).  ``None`` means no plan:
-        # the delivery fast paths stay enabled and every counter is
-        # byte-identical to a network built before the subsystem existed.
+        # every counter is byte-identical to a network built before the
+        # subsystem existed.
         self._faults = resolve_faults(faults)
         self._delayed: list[tuple[int, PendingDelivery]] = []
         self._round_injected_drops = 0
         self._round_duplicated = 0
         self._round_delayed = 0
-
-    @property
-    def trace(self) -> bool:
-        """Whether deliveries materialise :class:`Message` objects."""
-        return self._trace
 
     @property
     def topology(self) -> Topology | None:
@@ -404,10 +285,8 @@ class Network:
     def set_faults(self, faults: FaultPlan | str | None) -> None:
         """Install (or clear) the fault plan.
 
-        Must happen outside a round session: deliveries already queued on
-        the ledger fast path received the shared always-succeeds ticket
-        and could not report an injected fault.  With a plan installed
-        every post is ticketed, so faults always land on a real ticket.
+        Must happen outside a round session: the session's rounds so far
+        ran under the old plan's clock.
         """
         if self._round_mode:
             raise RuntimeError("cannot change the fault plan during a round session")
@@ -434,6 +313,10 @@ class Network:
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
+        # Networks pickled with a second, message-object substrate carry
+        # its switch and its tuple queue.
+        state.pop("_trace", None)
+        state.pop("_pending_fast", None)
         self.__dict__.update(state)
         if "_topology" not in state:
             # Blob pickled before the topology seam existed: restore it
@@ -615,14 +498,11 @@ class Network:
         src: HostId,
         dst: HostId,
         kind: MessageKind = MessageKind.QUERY,
-        payload: Any = None,
-    ) -> Message | None:
-        """Record one message from ``src`` to ``dst``.
+    ) -> None:
+        """Charge one message from ``src`` to ``dst``.
 
-        Sending a message to oneself is free (returns ``None``) — the
-        paper only charges for *inter-host* communication.  In ledger
-        mode the delivery is counted but no :class:`Message` is created,
-        so the return value is ``None`` for remote sends as well.
+        Sending a message to oneself is free — the paper only charges for
+        *inter-host* communication.
 
         With a fault plan installed (and outside a round session, whose
         deliveries are decided in :meth:`run_round`), the plan decides
@@ -637,7 +517,7 @@ class Network:
             raise UnknownHostError(f"unknown destination host {dst}")
         self._check_alive(dst)
         if src == dst:
-            return None
+            return
         faults = self._faults
         if faults is not None and not self._round_mode:
             action = faults.decide(self, None, src, dst, kind)
@@ -650,20 +530,14 @@ class Network:
                     )
                 if verb == "duplicate":
                     self._log.note_duplicate()
-                    self._record_delivery(src, dst, kind, payload)
+                    self._record_delivery(src, dst, kind)
                 else:
                     self._log.note_delay()
-        return self._record_delivery(src, dst, kind, payload)
+        self._record_delivery(src, dst, kind)
 
-    def _record_delivery(
-        self, src: HostId, dst: HostId, kind: MessageKind, payload: Any
-    ) -> Message | None:
-        """Log one inter-host message and update measurement/round counters."""
-        if self._trace:
-            message = self._log.record(src, dst, kind, payload)
-        else:
-            self._log.tally(src, dst, kind)
-            message = None
+    def _record_delivery(self, src: HostId, dst: HostId, kind: MessageKind) -> None:
+        """Tally one inter-host message and update measurement/round counters."""
+        self._log.tally(src, dst, kind)
         topology = self._topology
         cost = 0 if topology is None else topology.link_cost(src, dst)
         round_mode = self._round_mode
@@ -689,7 +563,6 @@ class Network:
                     self._round_per_cluster.get(cluster, 0) + cost
                 )
                 self._round_weight += cost
-        return message
 
     @property
     def message_log(self) -> MessageLog:
@@ -747,7 +620,7 @@ class Network:
         the raw material of
         :func:`repro.net.congestion.round_congestion_report`, computed in
         a single pass as rounds close instead of re-scanning the stored
-        reports (which ledger mode may have truncated).
+        reports (which ``round_report_retention`` may have truncated).
         """
         return (
             len(self._session_per_round_max),
@@ -826,7 +699,6 @@ class Network:
                 self._close_round(dropped=0)
             self._round_mode = False
             self._pending = []
-            self._pending_fast = []
             self._delayed = []
             self._round_per_host = {}
             self._round_delivered = 0
@@ -842,7 +714,6 @@ class Network:
         src: HostId,
         dst: HostId,
         kind: MessageKind = MessageKind.QUERY,
-        payload: Any = None,
     ) -> PendingDelivery:
         """Queue one message for the next round; returns its delivery ticket.
 
@@ -850,30 +721,15 @@ class Network:
         checked at delivery time (a host may fail between posting and the
         round running), in which case the ticket carries the
         :class:`HostFailedError` instead of the whole round failing.
-
-        In ledger mode, while no host is marked failed, deliveries are
-        queued as plain tuples and the shared always-succeeds ticket is
-        returned — no per-delivery allocation.  The moment any host is
-        failed, posts fall back to real tickets so failure reporting is
-        exactly as in trace mode.  (The engine's failure hooks run
-        between rounds, so a post can never race a failure it should
-        have observed; see :class:`_DeliveredTicket`.)
         """
         if not self._round_mode:
             raise RuntimeError("post() requires round-based mode; see Network.rounds()")
-        if src not in self._hosts:
+        hosts = self._hosts
+        if src not in hosts:
             raise UnknownHostError(f"unknown source host {src}")
-        if dst not in self._hosts:
+        if dst not in hosts:
             raise UnknownHostError(f"unknown destination host {dst}")
-        if (
-            not self._trace
-            and not self._failed_hosts
-            and payload is None
-            and self._faults is None
-        ):
-            self._pending_fast.append((src, dst, kind))
-            return _OK_TICKET  # type: ignore[return-value]
-        ticket = PendingDelivery(src=src, dst=dst, kind=kind, payload=payload)
+        ticket = PendingDelivery(src, dst, kind)
         self._pending.append(ticket)
         return ticket
 
@@ -898,7 +754,6 @@ class Network:
         if faults is not None:
             faults.begin_round(self, self._round_index)
         pending, self._pending = self._pending, []
-        pending_fast, self._pending_fast = self._pending_fast, []
         if self._delayed:
             due = [ticket for when, ticket in self._delayed if when <= self._round_index]
             if due:
@@ -912,45 +767,27 @@ class Network:
                 pending = due + pending
         dropped = 0
         failed = self._failed_hosts
-        for src, dst, kind in pending_fast:
-            # Ledger fast path: tuples queued while no host was failed.
-            # A failure landing mid-assembly cannot be reported through
-            # the shared ticket these posts received, so it must not be
-            # swallowed either — fail loudly instead of silently
-            # diverging from what a traced ticket would have raised.
-            # (Unreachable from the engine: its failure hooks run
-            # between rounds, when nothing is queued.)
-            if failed and (src in failed or dst in failed):
-                raise RuntimeError(
-                    f"host failed between post() and run_round() with the ledger "
-                    f"fast path active (delivery {src} -> {dst}); inject "
-                    "mid-assembly failures on a trace=True network"
-                )
-            if src == dst:
-                continue
-            self._record_delivery(src, dst, kind, None)
+        record = self._record_delivery
         for ticket in pending:
-            failed_host = self._first_failed(ticket.src, ticket.dst)
-            if failed_host is not None:
+            src = ticket.src
+            dst = ticket.dst
+            if failed and (src in failed or dst in failed):
                 ticket.deferred = False
-                ticket.error = HostFailedError(f"host {failed_host} has failed")
+                ticket.error = HostFailedError(f"host {src if src in failed else dst} has failed")
                 dropped += 1
                 continue
-            if ticket.src == ticket.dst:
+            if src == dst:
                 # Self-delivery is free in the cost model: resolved, but
                 # neither logged nor counted as a delivered message.
                 ticket.deferred = False
                 continue
             if faults is not None and not ticket.deferred:
-                action = faults.decide(
-                    self, self._round_index, ticket.src, ticket.dst, ticket.kind
-                )
+                action = faults.decide(self, self._round_index, src, dst, ticket.kind)
                 if action is not None:
                     verb = action[0]
                     if verb == "drop":
                         ticket.error = FaultInjectedError(
-                            f"delivery {ticket.src} -> {ticket.dst} dropped "
-                            "by the fault plan"
+                            f"delivery {src} -> {dst} dropped by the fault plan"
                         )
                         self._log.note_drop()
                         self._round_injected_drops += 1
@@ -962,32 +799,24 @@ class Network:
                         self._round_delayed += 1
                         continue
                     # duplicate: the delivery is charged twice.
-                    ticket.delivered = self._record_delivery(
-                        ticket.src, ticket.dst, ticket.kind, ticket.payload
-                    )
-                    self._record_delivery(
-                        ticket.src, ticket.dst, ticket.kind, ticket.payload
-                    )
+                    record(src, dst, ticket.kind)
+                    record(src, dst, ticket.kind)
                     self._log.note_duplicate()
                     self._round_duplicated += 1
                     continue
             ticket.deferred = False
-            ticket.delivered = self._record_delivery(
-                ticket.src, ticket.dst, ticket.kind, ticket.payload
-            )
+            record(src, dst, ticket.kind)
         # ``_round_delivered`` counts every charged message attributed to
         # this round — queued deliveries and direct send() calls alike —
-        # so the report stays consistent with ``per_host``.
+        # so the report stays consistent with its per-host maximum.
         return self._close_round(dropped=dropped)
 
-    def deliver(
-        self, src: HostId, dst: HostId, kind: MessageKind = MessageKind.QUERY
-    ) -> Message | None:
+    def deliver(self, src: HostId, dst: HostId, kind: MessageKind = MessageKind.QUERY) -> None:
         """Deliver one message as a round of its own.
 
         Observably ``ticket = post(src, dst, kind); run_round();
         ticket.result()``: the same round report, session aggregates,
-        measured counters and log entries, and the same
+        measured counters and log tallies, and the same
         :class:`HostFailedError` when either end has failed.  When
         nothing else is queued or assembling and no fault plan is
         installed this costs O(1) — no ticket, no pending list, no scan
@@ -996,15 +825,11 @@ class Network:
         decides the delivery.  Drivers that run one walk at a time (a
         lone operation, a repair) charge their crossings through it.
         """
-        if (
-            self._faults is not None
-            or self._pending
-            or self._pending_fast
-            or self._round_per_host
-        ):
+        if self._faults is not None or self._pending or self._round_per_host:
             ticket = self.post(src, dst, kind=kind)
             self.run_round()
-            return ticket.result()
+            ticket.result()
+            return
         if not self._round_mode:
             raise RuntimeError("deliver() requires round-based mode; see Network.rounds()")
         hosts = self._hosts
@@ -1018,10 +843,9 @@ class Network:
             raise HostFailedError(f"host {src if src in failed else dst} has failed")
         if src == dst:
             self._close_round(0)
-            return None
-        message = self._record_delivery(src, dst, kind, None)
+            return
+        self._record_delivery(src, dst, kind)
         self._close_round(0, dst)
-        return message
 
     def _close_round(self, dropped: int, busiest: HostId | None = None) -> RoundReport:
         """Fold the assembling round into a report and the session aggregates.
@@ -1062,7 +886,6 @@ class Network:
         report = RoundReport(
             index,
             delivered,
-            per_host if self._trace else {},
             dropped,
             max_load,
             max_load_host,
@@ -1143,22 +966,12 @@ class Network:
             # deliveries and backoff timers are keyed to the round clock,
             # so the clock must advance while operations sit idle.  Without
             # a plan the condition is unchanged (faults=None identity).
-            if (
-                self._pending
-                or self._pending_fast
-                or (self._faults is not None and (active or self._delayed))
-            ):
+            if self._pending or (self._faults is not None and (active or self._delayed)):
                 report = self.run_round()
                 reports.append(report)
                 if on_round is not None:
                     on_round(report)
         return reports
-
-    def _first_failed(self, *host_ids: HostId) -> HostId | None:
-        for host_id in host_ids:
-            if host_id in self._failed_hosts:
-                return host_id
-        return None
 
     # ------------------------------------------------------------------ #
     # failure injection hooks (extension; the paper assumes no failures)

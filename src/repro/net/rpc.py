@@ -69,14 +69,14 @@ class Traversal:
         """Sequence of hosts visited (consecutive duplicates collapsed)."""
         return list(self._path)
 
-    def visit(self, address: Address, payload: Any = None) -> Any:
+    def visit(self, address: Address) -> Any:
         """Dereference ``address``, moving the cursor to its host.
 
         Charges one message when the address is on a different host than
         the cursor's current position; local dereferences are free.
         """
         if address.host != self._current:
-            self._network.send(self._current, address.host, kind=self._kind, payload=payload)
+            self._network.send(self._current, address.host, kind=self._kind)
             self._hops += 1
             self._current = address.host
             self._path.append(address.host)
@@ -91,22 +91,22 @@ class Traversal:
         """
         return self._network.load(address)
 
-    def hop_to(self, host: HostId, payload: Any = None) -> None:
+    def hop_to(self, host: HostId) -> None:
         """Move the cursor to ``host`` explicitly, charging one message if remote."""
         if host != self._current:
-            self._network.send(self._current, host, kind=self._kind, payload=payload)
+            self._network.send(self._current, host, kind=self._kind)
             self._hops += 1
             self._current = host
             self._path.append(host)
 
-    def reply_to(self, host: HostId, payload: Any = None) -> None:
+    def reply_to(self, host: HostId) -> None:
         """Send a final answer back to ``host`` (one message if remote).
 
         Query benchmarks in the paper count only the forward routing path,
         so structures call this only when a caller explicitly asks for the
         answer to be returned to the originator.
         """
-        self.hop_to(host, payload=payload)
+        self.hop_to(host)
 
 
 class RemoteRef:

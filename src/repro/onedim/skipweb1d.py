@@ -548,13 +548,17 @@ class BucketSkipWeb1D:
         origin_host: HostId | None = None,
         origin_key: float | None = None,
     ) -> StepGenerator:
-        """Insertion as a resumable step generator; ``O(log n / log M)`` messages."""
+        """Insertion as a resumable step generator; ``O(log n / log M)`` messages.
+
+        The precondition is checked again after the search, at the commit
+        point (see :func:`repro.core.update.insert_steps`).
+        """
         point = float(key)
-        if point in self._membership:
-            raise UpdateError(f"key {point!r} is already stored")
+        self._check_insert(point)
         search = yield from self.search_steps(
             point, origin_host=origin_host, origin_key=origin_key
         )
+        self._check_insert(point)
         word = self._membership.assign(point)
         # Determine the responsible block hosts from the pre-update layout,
         # apply the whole structural change atomically, then charge — an
@@ -587,16 +591,18 @@ class BucketSkipWeb1D:
         origin_host: HostId | None = None,
         origin_key: float | None = None,
     ) -> StepGenerator:
-        """Deletion as a resumable step generator; ``O(log n / log M)`` messages."""
+        """Deletion as a resumable step generator; ``O(log n / log M)`` messages.
+
+        The precondition is checked again after the search, at the commit
+        point.
+        """
         point = float(key)
-        if point not in self._membership:
-            raise UpdateError(f"key {point!r} is not stored")
-        if len(self._keys) == 1:
-            raise UpdateError("cannot delete the last key")
+        self._check_delete(point)
         origin_key = self._delete_origin_key(point, origin_key)
         search = yield from self.search_steps(
             point, origin_host=origin_host, origin_key=origin_key
         )
+        self._check_delete(point)
         word = self._membership.word(point)
         targets = self._basic_level_hosts(point, word)
         self._membership.forget(point)
@@ -614,6 +620,16 @@ class BucketSkipWeb1D:
             records_removed=0,
             hosts_touched=hosts_touched,
         )
+
+    def _check_insert(self, point: float) -> None:
+        if point in self._membership:
+            raise UpdateError(f"key {point!r} is already stored")
+
+    def _check_delete(self, point: float) -> None:
+        if point not in self._membership:
+            raise UpdateError(f"key {point!r} is not stored")
+        if len(self._keys) == 1:
+            raise UpdateError("cannot delete the last key")
 
     def _delete_origin_key(self, point: float, origin_key: float | None) -> float | None:
         """Origin key for a delete's search: never the key being deleted.

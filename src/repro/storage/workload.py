@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.errors import StorageError
-from repro.net.network import ledger_mode
 from repro.storage.backends import StorageBackend, open_storage
 from repro.storage.snapshot import content_digest
 
@@ -254,17 +253,16 @@ def run_workload(
         raise StorageError("kill_after requires storage= (nothing would survive)")
     spec = specs[structure]
     items = spec.items(seed)
-    with ledger_mode():
-        from repro.api import Cluster
+    from repro.api import Cluster
 
-        cluster = Cluster(
-            structure=structure,
-            items=items,
-            seed=seed,
-            storage=storage,
-            snapshot_every=snapshot_every,
-            **spec.kwargs(),
-        )
+    cluster = Cluster(
+        structure=structure,
+        items=items,
+        seed=seed,
+        storage=storage,
+        snapshot_every=snapshot_every,
+        **spec.kwargs(),
+    )
     cluster._workload_items = items
     if storage is not None:
         cluster._durability.record_note(
@@ -312,8 +310,7 @@ def resume_workload(
             f"{backend.path!r} holds no workload note record; was this store "
             "written by `repro.cli workload --save`?"
         )
-    with ledger_mode():
-        cluster = Cluster.recover(backend, trim_torn_tail=trim_torn_tail)
+    cluster = Cluster.recover(backend, trim_torn_tail=trim_torn_tail)
     structure, steps, seed = params["structure"], params["steps"], params["seed"]
     spec = workload_specs()[structure]
     cluster._workload_items = spec.items(seed)

@@ -16,7 +16,6 @@ from repro.api import (
 from repro.baselines import ChordDHT, DistributedOrderedStructure, SkipGraph
 from repro.engine import BatchExecutor, DistributedStructure
 from repro.errors import StructureError
-from repro.net.network import ledger_mode
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.planar import SkipTrapezoidWeb
 from repro.spatial import HyperCube, SkipQuadtreeWeb
@@ -365,8 +364,7 @@ class TestAliveOrigins:
         ids=["serial", "immediate"],
     )
     def test_every_membership_change_is_seen_by_the_next_call(self, kwargs):
-        with ledger_mode():
-            cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3, **kwargs)
+        cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3, **kwargs)
         self._assert_origins(cluster, "fresh")
         joined = cluster.join_host().host
         assert joined in self._expected(cluster)

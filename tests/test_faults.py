@@ -51,7 +51,6 @@ from repro.net.faults import (
     inject_host_faults,
     outage,
 )
-from repro.net.network import ledger_mode
 from repro.net.topology import ClusteredTopology
 from repro.onedim import SkipWeb1D
 from repro.storage import decode_record, encode_record
@@ -125,7 +124,7 @@ class TestRulesAndResolution:
 class TestMessageFaults:
     @staticmethod
     def _network(*rules, seed=0, hosts=3, **kwargs):
-        network = Network(trace=True, faults=FaultPlan(rules, seed=seed), **kwargs)
+        network = Network(faults=FaultPlan(rules, seed=seed), **kwargs)
         network.add_hosts(hosts)
         return network
 
@@ -203,9 +202,11 @@ class TestMessageFaults:
         network = self._network(drop(1.0, window=(0, 100)), drop(1.0, dst=2))
         # Burst windows are round-relative, so they cannot match outside
         # a round session; only the un-windowed dst rule fires.
-        assert network.send(0, 1, MessageKind.QUERY) is not None
+        network.send(0, 1, MessageKind.QUERY)
+        assert network.total_messages == 1
         with pytest.raises(FaultInjectedError):
             network.send(0, 2, MessageKind.QUERY)
+        assert network.total_messages == 1
         assert network.message_log.dropped == 1
 
     def test_two_identical_runs_decide_identically(self):
@@ -285,9 +286,8 @@ class TestHostFaults:
 class TestClusterResilience:
     @staticmethod
     def _batch(faults, seed=7, **kwargs):
-        with ledger_mode():
-            cluster = Cluster("skipweb1d", KEYS, seed=seed, faults=faults, **kwargs)
-            report = cluster.batch([("search", query) for query in QUERIES])
+        cluster = Cluster("skipweb1d", KEYS, seed=seed, faults=faults, **kwargs)
+        report = cluster.batch([("search", query) for query in QUERIES])
         return cluster, report
 
     def test_seeded_chaos_runs_are_byte_identical(self):
@@ -333,15 +333,14 @@ class TestClusterResilience:
             assert isinstance(handle.error, OperationTimedOutError)
 
     def test_outage_blacks_out_one_topology_cluster(self):
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                KEYS,
-                seed=7,
-                topology=ClusteredTopology(clusters=2, inter_cost=5),
-                faults=FaultPlan([outage(0, at_round=0)], seed=7),
-            )
-            cluster.batch([("search", query) for query in QUERIES])
+        cluster = Cluster(
+            "skipweb1d",
+            KEYS,
+            seed=7,
+            topology=ClusteredTopology(clusters=2, inter_cost=5),
+            faults=FaultPlan([outage(0, at_round=0)], seed=7),
+        )
+        cluster.batch([("search", query) for query in QUERIES])
         failed = cluster.network.failed_hosts
         assert failed
         topology = cluster.network.topology
@@ -349,29 +348,27 @@ class TestClusterResilience:
         assert cluster.network.alive_host_ids()
 
     def test_immediate_mode_retries_then_succeeds(self):
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                KEYS,
-                seed=7,
-                mode="immediate",
-                faults=FaultPlan([drop(0.3, message_kind="query")], seed=7),
-            )
-            handles = [cluster.nearest(query) for query in QUERIES[:6]]
+        cluster = Cluster(
+            "skipweb1d",
+            KEYS,
+            seed=7,
+            mode="immediate",
+            faults=FaultPlan([drop(0.3, message_kind="query")], seed=7),
+        )
+        handles = [cluster.nearest(query) for query in QUERIES[:6]]
         assert all(handle.ok for handle in handles)
         assert sum(handle.retries for handle in handles) > 0
 
     def test_immediate_mode_gives_up_on_total_loss(self):
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                KEYS,
-                seed=7,
-                mode="immediate",
-                max_retries=2,
-                faults=FaultPlan([drop(1.0, message_kind="query")], seed=7),
-            )
-            handle = cluster.nearest(QUERIES[0])
+        cluster = Cluster(
+            "skipweb1d",
+            KEYS,
+            seed=7,
+            mode="immediate",
+            max_retries=2,
+            faults=FaultPlan([drop(1.0, message_kind="query")], seed=7),
+        )
+        handle = cluster.nearest(QUERIES[0])
         assert handle.status == "gave_up"
         assert handle.retries == 2
         assert isinstance(handle.error, FaultInjectedError)
@@ -481,20 +478,17 @@ class TestDurability:
     def test_faults_and_budget_are_journaled_and_replayed(self, tmp_path):
         store = self._store(tmp_path)
         plan = FaultPlan([crash(at_round=0), drop(0.2, message_kind="query")], seed=5)
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d", KEYS, seed=5, storage=store, faults=plan, round_budget=60
-            )
-            cluster.batch([("search", query) for query in QUERIES[:6]])
-            assert cluster.network.failed_hosts  # the crash rule fired
-            event = cluster.recover_host()
-            assert event.kind == "recover"
-            assert not cluster.network.failed_hosts
-            cluster.batch([("search", query) for query in QUERIES[6:]])
-            expected = cluster.stats().as_dict()
-            expected_dropped = cluster.network.message_log.dropped
-            cluster.close()
-            recovered = Cluster.recover(store)
+        cluster = Cluster("skipweb1d", KEYS, seed=5, storage=store, faults=plan, round_budget=60)
+        cluster.batch([("search", query) for query in QUERIES[:6]])
+        assert cluster.network.failed_hosts  # the crash rule fired
+        event = cluster.recover_host()
+        assert event.kind == "recover"
+        assert not cluster.network.failed_hosts
+        cluster.batch([("search", query) for query in QUERIES[6:]])
+        expected = cluster.stats().as_dict()
+        expected_dropped = cluster.network.message_log.dropped
+        cluster.close()
+        recovered = Cluster.recover(store)
         assert recovered.stats().as_dict() == expected
         assert recovered.faults == plan
         assert recovered._round_budget == 60
@@ -504,39 +498,37 @@ class TestDurability:
     def test_recover_host_replays_from_a_snapshot_tail(self, tmp_path):
         store = self._store(tmp_path)
         plan = FaultPlan([crash(at_round=0)], seed=5)
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                KEYS,
-                seed=5,
-                storage=store,
-                faults=plan,
-                snapshot_every=1,
-            )
-            cluster.batch([("search", QUERIES[0])])
-            cluster.save()  # snapshot covers the batch; the tail is churn
-            cluster.recover_host()
-            expected = cluster.stats().as_dict()
-            cluster.close()
-            recovered = Cluster.recover(store)
+        cluster = Cluster(
+            "skipweb1d",
+            KEYS,
+            seed=5,
+            storage=store,
+            faults=plan,
+            snapshot_every=1,
+        )
+        cluster.batch([("search", QUERIES[0])])
+        cluster.save()  # snapshot covers the batch; the tail is churn
+        cluster.recover_host()
+        expected = cluster.stats().as_dict()
+        cluster.close()
+        recovered = Cluster.recover(store)
         assert recovered.stats().as_dict() == expected
         assert not recovered.network.failed_hosts
         recovered.close()
 
     def test_recover_refuses_a_mismatched_chaos_schedule(self, tmp_path):
         store = self._store(tmp_path)
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                KEYS,
-                seed=5,
-                storage=store,
-                faults=FaultPlan([drop(0.1)], seed=5),
-                snapshot_every=1,
-            )
-            cluster.batch([("search", QUERIES[0])])
-            cluster.save()
-            cluster.close()
+        cluster = Cluster(
+            "skipweb1d",
+            KEYS,
+            seed=5,
+            storage=store,
+            faults=FaultPlan([drop(0.1)], seed=5),
+            snapshot_every=1,
+        )
+        cluster.batch([("search", QUERIES[0])])
+        cluster.save()
+        cluster.close()
         # Rewrite the journal's create record to claim a different plan
         # (re-encoded, so its checksum stays valid): the snapshot and
         # the journal now disagree about the chaos schedule.

@@ -3,7 +3,8 @@
 ``BatchExecutor.run`` drives a lone non-forking operation with the walk
 loop ``run_immediate`` uses, charging each crossing as a round of its own
 (``Network.deliver``).  These tests pin that the shortcut is invisible:
-on every registered family, both substrates and with or without a
+on every registered family, with the walks reading their own host's
+addresses in place or through the driver, and with or without a
 topology, a seeded stream of single operations produces the same handles,
 round reports, congestion aggregates, log counters and measured stats as
 a twin cluster whose no-op ``on_round`` hook forces the round scheduler.
@@ -28,10 +29,11 @@ from repro.errors import HostFailedError, ReproError, StructureError
 from repro.net.faults import FaultPlan, drop
 from repro.net.message import MessageKind
 from repro.net.naming import Address
-from repro.net.network import Network, RoundReport, ledger_mode, tracing_mode
+from repro.net.network import Network, RoundReport
 from repro.spatial import HyperCube
 from repro.strings import DNA
 from repro.workloads import dna_reads, non_crossing_segments, uniform_keys, uniform_points
+from local_reads import driver_reads
 
 STREAM_LENGTH = 18
 
@@ -89,17 +91,14 @@ def _stream(name):
     return operations
 
 
-def _build(name, trace, **extra):
-    """A family's cluster on the chosen substrate (built inside the mode)."""
+def _build(name, **extra):
+    """A family's scenario cluster."""
     items, kwargs, _query = _scenario(name)
-    with tracing_mode() if trace else ledger_mode():
-        cluster = Cluster(structure=name, items=items, seed=5, **kwargs, **extra)
-        assert cluster.structure.network.trace is trace
-    return cluster
+    return Cluster(structure=name, items=items, seed=5, **kwargs, **extra)
 
 
-def _cluster(name, trace, topology, scheduled):
-    cluster = _build(name, trace, topology=topology)
+def _cluster(name, topology, scheduled):
+    cluster = _build(name, topology=topology)
     if scheduled:
         # Any on_round hook keeps the round scheduler in charge.
         cluster.executor.on_round = lambda report: None
@@ -159,11 +158,13 @@ class _RunRoundCounter:
 
 class TestOneWalkMatchesTheScheduler:
     @pytest.mark.parametrize("topology", [None, "clustered"], ids=["flat", "clustered"])
-    @pytest.mark.parametrize("trace", [False, True], ids=["ledger", "trace"])
+    @pytest.mark.parametrize("reads", ["local", "driver"])
     @pytest.mark.parametrize("name", sorted(structure_specs()))
-    def test_single_operation_stream(self, name, trace, topology, monkeypatch):
-        walked = _cluster(name, trace, topology, scheduled=False)
-        scheduled = _cluster(name, trace, topology, scheduled=True)
+    def test_single_operation_stream(self, name, reads, topology, monkeypatch):
+        if reads == "driver":
+            driver_reads(monkeypatch)
+        walked = _cluster(name, topology, scheduled=False)
+        scheduled = _cluster(name, topology, scheduled=True)
         counter = _RunRoundCounter(monkeypatch)
         statuses = set()
         for index, operation in enumerate(_stream(name)):
@@ -180,7 +181,7 @@ class TestOneWalkMatchesTheScheduler:
         assert len(structure_specs()) == 12
 
     def test_single_calls_take_the_walk(self, monkeypatch):
-        cluster = _cluster("skipweb1d", trace=True, topology=None, scheduled=False)
+        cluster = _cluster("skipweb1d", topology=None, scheduled=False)
         counter = _RunRoundCounter(monkeypatch)
         handles = [cluster.get(key) for key in uniform_keys(8, seed=9)]
         handles.append(cluster.insert(1.5))
@@ -384,22 +385,27 @@ class TestDeliver:
         )
 
     @pytest.mark.parametrize("topology", [None, "clustered"], ids=["flat", "clustered"])
-    @pytest.mark.parametrize("trace", [False, True], ids=["ledger", "trace"])
-    def test_same_reports_aggregates_and_counters(self, trace, topology):
+    @pytest.mark.parametrize("queued", [False, True], ids=["idle", "queued"])
+    def test_same_reports_aggregates_and_counters(self, queued, topology):
         route = [(0, 1), (1, 1), (1, 5), (5, 2), (2, 5), (5, 0), (0, 3)]
         kinds = [MessageKind.QUERY, MessageKind.UPDATE, MessageKind.CONTROL]
         observed = []
         for charge in ("deliver", "posted"):
-            network = Network(trace=trace, topology=topology)
+            network = Network(topology=topology)
             network.add_hosts(6)
             with network.measure() as stats, network.rounds():
+                if queued:
+                    # Traffic already queued takes deliver() off its O(1)
+                    # path: the first crossing closes a round with it.
+                    early = network.post(3, 4, MessageKind.QUERY)
                 for index, (src, dst) in enumerate(route):
                     kind = kinds[index % 3]
                     if charge == "deliver":
-                        message = network.deliver(src, dst, kind)
+                        assert network.deliver(src, dst, kind) is None
                     else:
-                        message = self._posted(network, src, dst, kind)
-                    assert (message is None) == (not trace or src == dst)
+                        assert self._posted(network, src, dst, kind) is None
+                if queued:
+                    early.result()
                 network.fail_host(4)
                 for src, dst in ((0, 4), (4, 0)):
                     with pytest.raises(HostFailedError, match="host 4 has failed"):
@@ -415,16 +421,19 @@ class TestDeliver:
         assert reports[1].delivered == 0  # the self-delivery still closed a round
 
     def test_queued_or_assembling_traffic_closes_with_it(self):
-        network = Network(trace=True)
+        network = Network()
         network.add_hosts(4)
         with network.rounds():
-            network.post(0, 1)
+            ticket = network.post(0, 1)
             network.send(2, 3)
             network.deliver(1, 2)
             assert network.rounds_completed == 1
             (report,) = network.round_reports
             assert report.delivered == 3
-            assert report.per_host == {1: 1, 2: 1, 3: 1}
+            # The direct send reached host 3 first; every host got one.
+            assert (report.max_load, report.max_load_host) == (1, 3)
+            ticket.result()
+        assert [network.message_log.received_by(host) for host in range(4)] == [0, 1, 1, 1]
 
     def test_requires_round_mode(self):
         network = Network()
@@ -437,9 +446,8 @@ class TestRoundReport:
     FIELDS = [
         ("index", MISSING),
         ("delivered", MISSING),
-        ("per_host", MISSING),
         ("dropped", 0),
-        ("max_load", -1),
+        ("max_load", 0),
         ("max_load_host", None),
         ("weight", 0),
         ("max_link_load", 0),
@@ -455,12 +463,12 @@ class TestRoundReport:
         assert [(field.name, field.default) for field in fields(RoundReport)] == self.FIELDS
 
     def test_equality_and_max_host_load(self):
-        report = RoundReport(3, 2, {1: 2})
-        assert report == RoundReport(index=3, delivered=2, per_host={1: 2})
-        assert report != RoundReport(3, 2, {1: 2}, dropped=1)
+        report = RoundReport(3, 2, 0, 2, 1)
+        assert report == RoundReport(index=3, delivered=2, max_load=2, max_load_host=1)
+        assert report != RoundReport(3, 2, 1, 2, 1)
         assert report.max_host_load == 2
-        assert RoundReport(0, 0, {}).max_host_load == 0
-        assert RoundReport(0, 5, {}, max_load=5, max_load_host=2).max_host_load == 5
+        assert RoundReport(0, 0).max_host_load == 0
+        assert RoundReport(0, 5, max_load=5, max_load_host=2).max_host_load == 5
 
 
 class TestQuietOrigins:
@@ -514,11 +522,11 @@ def _old_pump(network, gen):
 
 
 class TestRepairOnTheWalkLoop:
-    @pytest.mark.parametrize("trace", [False, True], ids=["ledger", "trace"])
+    @pytest.mark.parametrize("topology", [None, "clustered"], ids=["flat", "clustered"])
     @pytest.mark.parametrize("name", ["skipweb1d", "bucket-skipweb1d", "skipgraph", "chord"])
-    def test_repair_and_migration_bill_what_the_old_pump_billed(self, name, trace):
+    def test_repair_and_migration_bill_what_the_old_pump_billed(self, name, topology):
         def build():
-            cluster = _build(name, trace)
+            cluster = _build(name, topology=topology)
             network = cluster.network
             victims = cluster.executor.alive_origins()[1:3]
             for victim in victims:

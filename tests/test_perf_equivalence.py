@@ -1,12 +1,13 @@
 """Count-equivalence guarantees of the wall-clock performance layer.
 
-The performance overhaul (ledger substrate, bulk-load construction,
-incremental level-structure updates, caches) must be invisible to the
-cost model: every message count, every benchmark row, byte for byte.
-These tests pin that contract:
+The performance overhaul (counter-only delivery, walk-local reads,
+bulk-load construction, incremental level-structure updates, caches)
+must be invisible to the cost model: every message count, every
+benchmark row, byte for byte.  These tests pin that contract:
 
-* every gated experiment produces identical rows under ``trace=True``
-  and ``trace=False`` (the ledger substrate);
+* every gated experiment produces identical rows whether the query
+  walks read addresses on their own host in place or hand every read to
+  the driver as a ``Visit`` effect;
 * ``build_from_sorted`` + k inserts charges exactly what the plain
   constructor + the same k inserts charges, for every structure family;
 * the in-place ``with_item`` / ``without_item`` updates produce
@@ -46,7 +47,7 @@ from repro.bench.experiments import (
     update_costs,
 )
 from repro.net.message import MessageKind
-from repro.net.network import Network, ledger_mode, tracing_mode
+from repro.net.network import Network
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.onedim import linked_list
 from repro.onedim.linked_list import SortedListStructure
@@ -63,10 +64,11 @@ from repro.workloads import (
     uniform_points,
 )
 from repro.workloads.strings import random_strings
+from local_reads import driver_reads
 
 
-class TestLedgerRowEquivalence:
-    """Every experiment row is byte-identical on either substrate."""
+class TestLocalReadRowEquivalence:
+    """Every experiment row is byte-identical with and without walk-local reads."""
 
     @pytest.mark.parametrize(
         "experiment, params",
@@ -82,28 +84,26 @@ class TestLedgerRowEquivalence:
         ],
         ids=["throughput", "congestion-rounds", "range-queries", "updates", "churn"],
     )
-    def test_rows_identical_between_substrates(self, experiment, params):
-        with tracing_mode():
-            traced = experiment(**params)
-        with ledger_mode():
-            ledgered = experiment(**params)
-        assert traced == ledgered
+    def test_rows_identical_with_and_without_local_reads(self, experiment, params, monkeypatch):
+        local = experiment(**params)
+        with monkeypatch.context() as patch:
+            driver_reads(patch)
+            driven = experiment(**params)
+        assert local == driven
 
-    def test_ledger_network_counts_match_traced(self):
-        for trace in (True, False):
-            network = Network(trace=trace, keep_messages=trace)
-            network.add_hosts(4)
-            with network.measure() as stats:
-                network.send(0, 1, MessageKind.QUERY)
-                network.send(1, 2, MessageKind.UPDATE)
-                network.send(2, 2, MessageKind.QUERY)  # self-send: free
-            assert stats.messages == 2
-            assert stats.count(MessageKind.QUERY) == 1
-            assert stats.count(MessageKind.UPDATE) == 1
-            assert network.total_messages == 2
-            assert network.message_log.received_by(1) == 1
-            # Only the traced substrate materialises message objects.
-            assert len(network.message_log.messages) == (2 if trace else 0)
+    def test_network_counts_every_remote_send(self):
+        network = Network()
+        network.add_hosts(4)
+        with network.measure() as stats:
+            network.send(0, 1, MessageKind.QUERY)
+            network.send(1, 2, MessageKind.UPDATE)
+            network.send(2, 2, MessageKind.QUERY)  # self-send: free
+        assert stats.messages == 2
+        assert stats.count(MessageKind.QUERY) == 1
+        assert stats.count(MessageKind.UPDATE) == 1
+        assert network.total_messages == 2
+        assert network.message_log.received_by(1) == 1
+        assert network.message_log.sent_by(2) == 0
 
 
 class TestBulkLoadEquivalence:
@@ -648,8 +648,8 @@ class TestNetworkCaches:
         assert 999 not in network.alive_host_ids()
 
     def test_round_report_retention_keeps_aggregates(self):
-        bounded = Network(trace=False, round_report_retention=2)
-        unbounded = Network(trace=True)
+        bounded = Network(round_report_retention=2)
+        unbounded = Network()
         for network in (bounded, unbounded):
             network.add_hosts(4)
             with network.rounds():
@@ -661,18 +661,18 @@ class TestNetworkCaches:
         assert len(unbounded.round_reports) == 5
         # The whole-session congestion aggregates are identical regardless.
         assert bounded.round_congestion_summary() == unbounded.round_congestion_summary()
-        # Ledger-mode reports drop the per-host dicts but keep the maxima.
+        # The kept reports are the last two, with their maxima.
+        assert bounded.round_reports == unbounded.round_reports[-2:]
         for report in bounded.round_reports:
-            assert report.per_host == {}
             assert report.max_host_load >= 1
 
     def test_ledger_round_failure_reporting_still_works(self):
-        network = Network(trace=False)
+        network = Network()
         network.add_hosts(3)
         with network.rounds():
             healthy = network.post(0, 1)
             network.run_round()
-            assert healthy.result() is None  # shared fast-path ticket
+            assert healthy.result() is None
             network.fail_host(2)
             doomed = network.post(0, 2)
             network.run_round()
@@ -684,10 +684,8 @@ class TestNetworkCaches:
         queries = uniform_keys(30, seed=10)
         from repro.engine import BatchExecutor, Operation
 
-        reference = SkipWeb1D(keys, network=Network(trace=True), seed=9)
-        bounded = SkipWeb1D(
-            keys, network=Network(trace=False, round_report_retention=4), seed=9
-        )
+        reference = SkipWeb1D(keys, network=Network(), seed=9)
+        bounded = SkipWeb1D(keys, network=Network(round_report_retention=4), seed=9)
         operations = [Operation("search", query) for query in queries]
         result_reference = BatchExecutor(reference).run(list(operations))
         result_bounded = BatchExecutor(bounded).run(list(operations))
@@ -777,19 +775,18 @@ class TestFaultFreeIdentity:
 
     @staticmethod
     def _run_batch(name, **extra):
-        with ledger_mode():
-            scenario = FAMILY_SCENARIOS[name]
-            cluster = Cluster(
-                structure=name,
-                items=scenario["items"],
-                seed=21,
-                **scenario["kwargs"],
-                **extra,
-            )
-            operations = [("search", payload) for payload in scenario["searches"]]
-            if scenario["range"] is not None:
-                operations.append(("range", scenario["range"]))
-            report = cluster.batch(operations)
+        scenario = FAMILY_SCENARIOS[name]
+        cluster = Cluster(
+            structure=name,
+            items=scenario["items"],
+            seed=21,
+            **scenario["kwargs"],
+            **extra,
+        )
+        operations = [("search", payload) for payload in scenario["searches"]]
+        if scenario["range"] is not None:
+            operations.append(("range", scenario["range"]))
+        report = cluster.batch(operations)
         return cluster, report
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
@@ -819,7 +816,7 @@ class TestFaultFreeIdentity:
 class TestFlatTopologyIdentity:
     """An explicit ``FlatTopology`` changes no pre-refactor counter.
 
-    The topology seam's contract mirrors the ledger's: invisible until
+    The topology seam's contract is the fault seam's: invisible until
     you opt in.  A cluster constructed with
     ``topology="flat"`` must reproduce every observable number of a
     cluster constructed without a topology — per-operation stats, batch
@@ -831,19 +828,18 @@ class TestFlatTopologyIdentity:
 
     @staticmethod
     def _run_batch(name, topology):
-        with ledger_mode():
-            scenario = FAMILY_SCENARIOS[name]
-            cluster = Cluster(
-                structure=name,
-                items=scenario["items"],
-                seed=21,
-                topology=topology,
-                **scenario["kwargs"],
-            )
-            operations = [("search", payload) for payload in scenario["searches"]]
-            if scenario["range"] is not None:
-                operations.append(("range", scenario["range"]))
-            report = cluster.batch(operations)
+        scenario = FAMILY_SCENARIOS[name]
+        cluster = Cluster(
+            structure=name,
+            items=scenario["items"],
+            seed=21,
+            topology=topology,
+            **scenario["kwargs"],
+        )
+        operations = [("search", payload) for payload in scenario["searches"]]
+        if scenario["range"] is not None:
+            operations.append(("range", scenario["range"]))
+        report = cluster.batch(operations)
         return cluster, report
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
@@ -935,32 +931,32 @@ class TestSerialBatchContract:
     ``Cluster.batch`` runs through a single :class:`BatchExecutor`; the
     sweeps below pin that its per-operation stats, batch aggregates,
     per-round congestion and lifetime deployment snapshots do not depend
-    on the message substrate (ledger or traced), are reproducible from
-    the seed alone, and that a batch answers each read exactly as the
-    same read issued on its own from the same origin host does.
+    on whether the walks read their own host's addresses in place, are
+    reproducible from the seed alone, and that a batch answers each read
+    exactly as the same read issued on its own from the same origin host
+    does.
     """
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
-    def test_every_family_matches_traced(self, name):
-        with ledger_mode():
-            ledger_cluster, _, ledger = _run_family_batch(name)
-        with tracing_mode():
-            traced_cluster, _, traced = _run_family_batch(name)
+    def test_every_family_matches_driver_reads(self, name, monkeypatch):
+        local_cluster, _, local = _run_family_batch(name)
+        with monkeypatch.context() as patch:
+            driver_reads(patch)
+            driven_cluster, _, driven = _run_family_batch(name)
 
-        assert _handle_fields(ledger) == _handle_fields(traced)
-        assert ledger.rounds == traced.rounds
-        assert ledger.messages == traced.messages
-        assert ledger.max_round_congestion == traced.max_round_congestion
-        assert ledger.summary() == traced.summary()
-        assert ledger.round_congestion().as_dict() == traced.round_congestion().as_dict()
-        assert _round_fields(ledger) == _round_fields(traced)
-        assert ledger_cluster.stats().as_dict() == traced_cluster.stats().as_dict()
+        assert _handle_fields(local) == _handle_fields(driven)
+        assert local.rounds == driven.rounds
+        assert local.messages == driven.messages
+        assert local.max_round_congestion == driven.max_round_congestion
+        assert local.summary() == driven.summary()
+        assert local.round_congestion().as_dict() == driven.round_congestion().as_dict()
+        assert _round_fields(local) == _round_fields(driven)
+        assert local_cluster.stats().as_dict() == driven_cluster.stats().as_dict()
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_is_reproducible_from_the_seed(self, name):
-        with ledger_mode():
-            first_cluster, _, first = _run_family_batch(name)
-            second_cluster, _, second = _run_family_batch(name)
+        first_cluster, _, first = _run_family_batch(name)
+        second_cluster, _, second = _run_family_batch(name)
 
         assert all(handle.ok for handle in first)
         assert _handle_fields(first) == _handle_fields(second)
@@ -970,18 +966,17 @@ class TestSerialBatchContract:
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_batch_values_match_single_calls(self, name):
-        with ledger_mode():
-            batch_cluster, operations, batched = _run_family_batch(name)
-            scenario = FAMILY_SCENARIOS[name]
-            single_cluster = Cluster(
-                structure=name, items=scenario["items"], seed=21, **scenario["kwargs"]
+        batch_cluster, operations, batched = _run_family_batch(name)
+        scenario = FAMILY_SCENARIOS[name]
+        single_cluster = Cluster(
+            structure=name, items=scenario["items"], seed=21, **scenario["kwargs"]
+        )
+        singles = [
+            (single_cluster.get if kind == "search" else single_cluster.range)(
+                payload, origin_host=handle.origin_host
             )
-            singles = [
-                (single_cluster.get if kind == "search" else single_cluster.range)(
-                    payload, origin_host=handle.origin_host
-                )
-                for (kind, payload), handle in zip(operations, batched)
-            ]
+            for (kind, payload), handle in zip(operations, batched)
+        ]
 
         assert isinstance(batch_cluster.executor, BatchExecutor)
         assert len(batched) == len(singles)
@@ -991,42 +986,36 @@ class TestSerialBatchContract:
             assert batched_handle.value == single_handle.value
 
     @pytest.mark.parametrize("topology", ["clustered", "geo"])
-    def test_weighted_topology_matches_traced(self, topology):
-        with ledger_mode():
-            ledger_cluster, _, ledger = _run_family_batch("skipweb1d", topology=topology)
-        with tracing_mode():
-            traced_cluster, _, traced = _run_family_batch("skipweb1d", topology=topology)
+    def test_weighted_topology_matches_driver_reads(self, topology, monkeypatch):
+        local_cluster, _, local = _run_family_batch("skipweb1d", topology=topology)
+        with monkeypatch.context() as patch:
+            driver_reads(patch)
+            driven_cluster, _, driven = _run_family_batch("skipweb1d", topology=topology)
 
-        assert _handle_fields(ledger) == _handle_fields(traced)
-        assert ledger.latency == traced.latency > ledger.messages
-        assert ledger.round_congestion().as_dict() == traced.round_congestion().as_dict()
+        assert _handle_fields(local) == _handle_fields(driven)
+        assert local.latency == driven.latency > local.messages
+        assert local.round_congestion().as_dict() == driven.round_congestion().as_dict()
         assert (
-            ledger_cluster.network.topology_congestion_summary()
-            == traced_cluster.network.topology_congestion_summary()
+            local_cluster.network.topology_congestion_summary()
+            == driven_cluster.network.topology_congestion_summary()
         )
 
     def test_mixed_batch_applies_its_updates(self):
-        with ledger_mode():
-            cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
-            report = cluster.batch([("insert", 77.5), ("search", 123.0)])
-            assert report[0].ok and report[1].ok
-            assert 77.5 in cluster.structure.keys
-            assert cluster.get(77.5).value.answer.exact
-            assert cluster.delete(77.5).ok
-            assert 77.5 not in cluster.structure.keys
-            cluster.structure.web.validate()
+        cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
+        report = cluster.batch([("insert", 77.5), ("search", 123.0)])
+        assert report[0].ok and report[1].ok
+        assert 77.5 in cluster.structure.keys
+        assert cluster.get(77.5).value.answer.exact
+        assert cluster.delete(77.5).ok
+        assert 77.5 not in cluster.structure.keys
+        cluster.structure.web.validate()
 
     def test_failed_host_batch_answers_every_operation(self):
-        with ledger_mode():
-            cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
-            origins = set(cluster.structure.origin_hosts()[:1])
-            victim = next(
-                host for host in cluster.network.alive_host_ids() if host not in origins
-            )
-            cluster.network.fail_host(victim)
-            report = cluster.batch(
-                [("search", payload) for payload in uniform_keys(6, seed=24)]
-            )
+        cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)
+        origins = set(cluster.structure.origin_hosts()[:1])
+        victim = next(host for host in cluster.network.alive_host_ids() if host not in origins)
+        cluster.network.fail_host(victim)
+        report = cluster.batch([("search", payload) for payload in uniform_keys(6, seed=24)])
         assert len(report) == 6
         assert all(handle.status in {"ok", "failed"} for handle in report)
         assert victim not in cluster.network.alive_host_ids()

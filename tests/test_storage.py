@@ -13,13 +13,15 @@ import os
 import pickle
 import random
 import sqlite3
+from dataclasses import fields
 
 import pytest
 
 from repro.api import Cluster, available_structures
 from repro.core.skipweb import SkipWebRecord
 from repro.errors import StorageError
-from repro.net.network import Network, ledger_mode
+from repro.net.message import MessageLog
+from repro.net.network import Network, RoundReport
 from repro.onedim import SkipWeb1D
 from repro.spatial import HyperCube
 from repro.storage import (
@@ -56,15 +58,14 @@ def _partial_workload(structure, store, crash_after, steps, snapshot_every=0):
     """
     spec = workload_specs()[structure]
     items = spec.items(SEED)
-    with ledger_mode():
-        cluster = Cluster(
-            structure=structure,
-            items=items,
-            seed=SEED,
-            storage=store,
-            snapshot_every=snapshot_every,
-            **spec.kwargs(),
-        )
+    cluster = Cluster(
+        structure=structure,
+        items=items,
+        seed=SEED,
+        storage=store,
+        snapshot_every=snapshot_every,
+        **spec.kwargs(),
+    )
     cluster._workload_items = items
     cluster._durability.record_note(
         {"workload": {"structure": structure, "steps": steps, "seed": SEED}}
@@ -141,11 +142,12 @@ class TestKillAndRecoverEveryFamily:
 
 
 class TestRetiredConfigKeys:
-    """Stores written with the retired ``workers`` key still recover.
+    """Stores written with a retired config key still recover.
 
-    Older builds recorded a ``workers`` count in the journal's create
-    record and in every snapshot's config.  Recovery must ignore the key
-    and land on the state a store without it recovers to.
+    Older builds recorded a ``workers`` count, and the message substrate
+    as a ``trace`` flag, in the journal's create record and in every
+    snapshot's config.  Recovery must ignore the keys and land on the
+    state a store without them recovers to.
     """
 
     @staticmethod
@@ -158,21 +160,20 @@ class TestRetiredConfigKeys:
         cluster.batch([("delete", KEYS[0])])
         cluster.close()
 
-    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
-    def test_workers_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot):
+    @classmethod
+    def _recovers_like_a_plain_store(cls, tmp_path, monkeypatch, from_snapshot, retired):
         plain, legacy = str(tmp_path / "plain.jsonl"), str(tmp_path / "legacy.jsonl")
-        self._run(plain)
+        cls._run(plain)
         create, config = Cluster._create_payload, Cluster._snapshot_config
         monkeypatch.setattr(
-            Cluster, "_create_payload", lambda self, items: {**create(self, items), "workers": 2}
+            Cluster, "_create_payload", lambda self, items: {**create(self, items), **retired}
         )
-        monkeypatch.setattr(
-            Cluster, "_snapshot_config", lambda self: {**config(self), "workers": 2}
-        )
-        self._run(legacy)
+        monkeypatch.setattr(Cluster, "_snapshot_config", lambda self: {**config(self), **retired})
+        cls._run(legacy)
         monkeypatch.undo()
         backend = open_storage(legacy)
-        assert backend.records()[0].payload["workers"] == 2
+        payload = backend.records()[0].payload
+        assert {key: payload[key] for key in retired} == retired
         assert backend.latest_snapshot() is not None
         backend.close()
         if not from_snapshot:
@@ -186,6 +187,15 @@ class TestRetiredConfigKeys:
         assert recovered.stats().as_dict() == expected.stats().as_dict()
         expected.close()
         recovered.close()
+
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
+    def test_workers_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot):
+        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"workers": 2})
+
+    @pytest.mark.parametrize("trace", [True, False])
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
+    def test_trace_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot, trace):
+        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"trace": trace})
 
 
 class TestSaveAndLoad:
@@ -385,6 +395,69 @@ class TestDataclassRecordSnapshot:
         assert content_digest(restored.structure) == content_digest(twin.structure)
         restored.close()
         twin.close()
+
+
+class _TracingNetworkPickler(pickle.Pickler):
+    """Pickles the network as it pickled while it had a tracing substrate.
+
+    That network carried its substrate switch and a tuple fast-path
+    queue, its message log a message list and a sequence counter, and
+    its round reports a per-host load dict.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) is Network:
+            state = {**obj.__getstate__(), "_trace": True, "_pending_fast": []}
+            return copyreg.__newobj__, (Network,), state
+        if type(obj) is MessageLog:
+            state = {**obj.__dict__, "_keep_messages": False, "_messages": [], "_seq": 0}
+            return copyreg.__newobj__, (MessageLog,), state
+        if type(obj) is RoundReport:
+            state = {field.name: getattr(obj, field.name) for field in fields(RoundReport)}
+            state["per_host"] = {obj.max_load_host: obj.max_load}
+            return copyreg.__newobj__, (RoundReport,), (None, state)
+        return NotImplemented
+
+
+class _TracingNetworkPickle(_DataclassRecordPickle):
+    @staticmethod
+    def dumps(obj, protocol=None):
+        buffer = io.BytesIO()
+        _TracingNetworkPickler(buffer, protocol).dump(obj)
+        return buffer.getvalue()
+
+
+class TestTracingNetworkSnapshot:
+    """A snapshot pickled while the network could trace still restores."""
+
+    def test_restores_like_a_never_snapshotted_twin(self, tmp_path, monkeypatch):
+        items, options, draw = _legacy_inputs()["skipweb1d"]
+        store = str(tmp_path / "legacy.jsonl")
+        legacy = Cluster("skipweb1d", items, seed=SEED, storage=store, **options)
+        twin = Cluster("skipweb1d", items, seed=SEED, **options)
+        operations = _operation_stream(items, draw, seed=SEED, count=40)
+        warm_up, stream = operations[:20], operations[20:]
+        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
+        reports = twin.network.round_reports
+        assert reports
+
+        monkeypatch.setattr(snapshot_module, "pickle", _TracingNetworkPickle)
+        legacy.save()
+        monkeypatch.undo()
+        backend = open_storage(store)
+        _manifest, blob = backend.latest_snapshot()
+        backend.close()
+        assert b"_pending_fast" in blob and b"per_host" in blob
+        legacy.close()
+
+        restored = Cluster.recover(store)
+        assert not hasattr(restored.network, "_trace")
+        assert not hasattr(restored.network.message_log, "_messages")
+        assert restored.network.round_reports == reports
+        assert restored.stats().as_dict() == twin.stats().as_dict()
+        assert _run_stream(restored, stream) == _run_stream(twin, stream)
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        restored.close()
 
 
 class TestCorruption:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.errors import StorageError
-from repro.net.network import Network, ledger_mode
+from repro.net.network import Network
 from repro.net.topology import (
     TOPOLOGY_NAMES,
     ClusteredTopology,
@@ -216,13 +216,8 @@ class TestNetworkIntegration:
 class TestClusterThreading:
     @staticmethod
     def _batch(topology):
-        with ledger_mode():
-            cluster = Cluster(
-                structure="skipweb1d", items=KEYS, seed=5, topology=topology
-            )
-            report = cluster.batch(
-                [("search", payload) for payload in uniform_keys(12, seed=6)]
-            )
+        cluster = Cluster(structure="skipweb1d", items=KEYS, seed=5, topology=topology)
+        report = cluster.batch([("search", payload) for payload in uniform_keys(12, seed=6)])
         return cluster, report
 
     def test_flat_latency_equals_messages(self):
