@@ -5,9 +5,9 @@ reporting queries in O(log n + k) expected messages: an O(log n) locate
 descent followed by forked report sub-walks that pay one message per
 host crossing.  The assertions check both halves of the bound — cost is
 near-constant in n for fixed output size k, and near-linear in k for
-fixed n — and that the immediate and round-based executions of the very
-same queries charge identical message totals.  Chord's row documents
-that a hash overlay cannot answer these queries at all (§1.2).
+fixed n — and that running the very same queries one at a time and as
+one concurrent batch charges identical message totals.  Chord's row
+documents that a hash overlay cannot answer these queries at all (§1.2).
 """
 
 import random

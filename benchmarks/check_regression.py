@@ -125,7 +125,6 @@ IDENTITY_COLUMNS = (
     "topology",
     "method",
     "policy",
-    "cache",
     "n",
     "M",
     "k_target",

@@ -21,9 +21,7 @@ def main() -> None:
     print("== street-grid campus map ==")
     streets = city_map_segments(blocks_x=5, blocks_y=4, seed=17)
     box = bounding_box(streets)
-    cluster = Cluster(
-        structure="skiptrapezoid", items=streets, box=box, seed=17, mode="immediate"
-    )
+    cluster = Cluster(structure="skiptrapezoid", items=streets, box=box, seed=17)
     print(
         f"street segments: {len(streets)}, trapezoids: "
         f"{cluster.structure.level0_map.trapezoid_count()}, "

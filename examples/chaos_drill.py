@@ -15,7 +15,7 @@ Run with:  python examples/chaos_drill.py
 import random
 
 from repro.api import Cluster, FaultPlan
-from repro.net.faults import crash, delay, drop
+from repro.net.faults import crash, delay, drop, inject_host_faults
 from repro.workloads import uniform_keys
 
 
@@ -84,10 +84,8 @@ def main() -> None:
     print(f"  two runs agree on all {len(first)} handles and every fault tally")
 
     print("\n== manual healing: cluster.recover_host() ==")
-    from repro.net import FailureInjector
-
     victim = cluster.network.alive_host_ids()[-1]
-    FailureInjector(cluster.network).fail([victim])
+    inject_host_faults(cluster.network, [victim])
     print(f"  injected a crash-stop on host {victim}")
     event = cluster.recover_host(victim)
     print(f"  churn event: kind={event.kind!r}, host={event.host}, cost 0 messages")

@@ -18,7 +18,7 @@ from repro.workloads import dna_reads, isbn_like_keys
 def main() -> None:
     print("== DNA read store ==")
     reads = dna_reads(250, seed=5, motif_count=6)
-    dna = Cluster(structure="skiptrie", items=reads, alphabet=DNA, seed=5, mode="immediate")
+    dna = Cluster(structure="skiptrie", items=reads, alphabet=DNA, seed=5)
     dna_web = dna.structure  # prefix_search lives on the trie structure
     print(
         f"reads: {len(reads)}, hosts: {dna.stats().hosts}, "
@@ -38,7 +38,7 @@ def main() -> None:
 
     print("\n== ISBN catalogue ==")
     isbns = isbn_like_keys(300, seed=9, publisher_count=8)
-    isbn = Cluster(structure="skiptrie", items=isbns, alphabet=PRINTABLE, seed=9, mode="immediate")
+    isbn = Cluster(structure="skiptrie", items=isbns, alphabet=PRINTABLE, seed=9)
     publisher = isbns[0].rsplit("-", 2)[0]
     result, titles = isbn.structure.prefix_search(publisher)
     print(f"publisher prefix {publisher!r}: {len(titles)} titles, " f"{result.messages} messages")

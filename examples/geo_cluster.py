@@ -26,7 +26,6 @@ def run_batch(topology):
         items=uniform_keys(128, seed=7),
         seed=7,
         topology=topology,
-        mode="immediate",
     )
     rng = random.Random(7)
     queries = [("search", rng.uniform(0.0, 1_000_000.0)) for _ in range(60)]

@@ -26,10 +26,7 @@ def main() -> None:
     campus = HyperCube((0.0, 0.0), 1.0)
 
     print(f"== distributed quadtree over {len(kiosks)} kiosks ==")
-    cluster = Cluster(
-        structure="skipquadtree", items=kiosks, bounding_cube=campus, seed=11,
-        mode="immediate",
-    )
+    cluster = Cluster(structure="skipquadtree", items=kiosks, bounding_cube=campus, seed=11)
     web = cluster.structure  # domain APIs (approx-NN) live on the structure
     print(
         f"hosts: {cluster.stats().hosts}, quadtree depth: {web.level0_tree.depth()}, "

@@ -27,7 +27,7 @@ def main() -> None:
     print("  " + ", ".join(available_structures()))
 
     print("\n== deploying a 1-d skip-web over", len(keys), "keys (one host per key) ==")
-    with Cluster(structure="skipweb1d", items=keys, seed=7, mode="immediate") as cluster:
+    with Cluster(structure="skipweb1d", items=keys, seed=7) as cluster:
         stats = cluster.stats()
         print(f"hosts: {stats.hosts}, max records per host: {stats.max_memory_per_host}")
 
@@ -75,7 +75,7 @@ def main() -> None:
         )
 
     print("\n== bucket skip-web (§2.4.1) bulk-loaded via build_from_sorted ==")
-    bucket = Cluster(structure="bucket-skipweb1d", memory_size=64, seed=7, mode="immediate")
+    bucket = Cluster(structure="bucket-skipweb1d", memory_size=64, seed=7)
     load = bucket.bulk_load(sorted(set(float(key) for key in keys)))
     stats = bucket.stats()
     print(

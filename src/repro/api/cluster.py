@@ -20,16 +20,11 @@ behind one constructor::
 Operation methods return :class:`~repro.api.results.OperationHandle`
 objects with a uniform ``status`` (``"ok"`` / ``"failed"`` /
 ``"unsupported"``); a batch isolates per-operation failures instead of
-raising mid-flight.  ``mode="batched"`` (the default) funnels even single
-operations through the round-based engine so their rounds and congestion
-are measured; a lone search, insert or delete there is one walk, one
-round per crossing, and costs what the immediate walk costs.
-``mode="immediate"`` drives single operations synchronously (the paper's
-one-at-a-time cost model, byte-identical to calling the structures
-directly); what still sets it apart is that a fault plan decides each
-send as it happens (a drop restarts the walk at once, not after backoff
-rounds) and that its singles are journaled as ``single`` records rather
-than as one-op batches.
+raising mid-flight.  Every operation runs through the round-based
+engine: a single operation is a batch of one, so its rounds and
+congestion are measured and it is journaled as a ``batch`` record.  A
+lone search, insert or delete is one walk, one round per crossing, and
+costs the messages of the paper's one-at-a-time cost model.
 """
 
 from __future__ import annotations
@@ -46,23 +41,14 @@ from repro.api.results import (
     OPERATION_KINDS,
     OperationHandle,
     STATUS_FAILED,
-    STATUS_GAVE_UP,
     STATUS_UNSUPPORTED,
 )
 from repro.engine.executor import BatchExecutor, Operation
 from repro.engine.repair import RepairEngine, RepairResult
-from repro.engine.steps import run_immediate
-from repro.errors import (
-    FaultInjectedError,
-    QueryError,
-    ReproError,
-    StorageError,
-    StructureError,
-)
+from repro.errors import StorageError, StructureError
 from repro.net.churn import ChurnController, ChurnEvent
 from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.faults import FaultPlan, faults_from_config, resolve_faults
-from repro.net.message import MessageKind
 from repro.net.naming import HostId
 from repro.net.network import Network, OperationStats
 from repro.net.topology import Topology, resolve_topology, topology_from_config
@@ -74,14 +60,7 @@ from repro.storage import (
     open_storage,
     restore_snapshot,
 )
-
-#: Message kind charged per operation kind (single-operation immediate mode).
-_KIND_OF = {
-    "search": MessageKind.QUERY,
-    "range": MessageKind.QUERY,
-    "insert": MessageKind.UPDATE,
-    "delete": MessageKind.UPDATE,
-}
+from repro.storage.controller import refuse_unreplayable_singles
 
 #: Convenience aliases accepted wherever an operation kind is named.
 _KIND_ALIASES = {
@@ -171,10 +150,6 @@ class Cluster:
     seed:
         Seed for membership words / promotions; also seeds the churn
         controller unless ``churn_rng`` is given.
-    mode:
-        ``"batched"`` (default) runs every operation through the
-        round-based engine; ``"immediate"`` drives single operations
-        synchronously (the paper's one-at-a-time accounting).
     network:
         Pre-existing :class:`~repro.net.network.Network` to deploy into.
     topology:
@@ -202,9 +177,9 @@ class Cluster:
         Optional per-operation timeout in delivery rounds for batched
         execution; an over-budget operation's handle reports
         ``timed_out`` instead of the batch stalling on it.
-    route_cache / max_retries:
-        Forwarded to the :class:`~repro.engine.executor.BatchExecutor`.
-        ``max_retries`` also bounds fault-induced restarts, whose
+    max_retries:
+        Forwarded to the :class:`~repro.engine.executor.BatchExecutor`:
+        bounds conflict restarts and fault-induced restarts, whose
         exhaustion reports ``gave_up``.
     churn_rng / join_fraction / min_hosts:
         Churn-controller configuration (see
@@ -215,9 +190,7 @@ class Cluster:
         action is journaled so the run survives a crash and is
         recoverable byte-identically via :meth:`Cluster.recover`.
         Journaled runs must be replayable, so ``storage=`` refuses an
-        external ``network=``, an external ``churn_rng=`` and
-        ``route_cache=True`` (cross-batch cache warmth is not restored
-        by recovery, so replayed tails would diverge).
+        external ``network=`` and an external ``churn_rng=``.
     snapshot_every:
         With ``storage=``, write a full-state snapshot every N committed
         actions (0 = only on explicit :meth:`save`); recovery replays
@@ -236,12 +209,10 @@ class Cluster:
         hosts: int | None = None,
         memory_size: int | None = None,
         seed: int = 0,
-        mode: str = "batched",
         network: Network | None = None,
         topology: "Topology | str | None" = None,
         faults: "FaultPlan | str | Mapping[str, Any] | None" = None,
         round_budget: int | None = None,
-        route_cache: bool = False,
         max_retries: int = 5,
         churn_rng: random.Random | None = None,
         join_fraction: float = 0.5,
@@ -250,10 +221,7 @@ class Cluster:
         snapshot_every: int = 0,
         **options: Any,
     ) -> None:
-        if mode not in ("batched", "immediate"):
-            raise ValueError(f"mode must be 'batched' or 'immediate', got {mode!r}")
         self.spec: StructureSpec = resolve_structure(structure)
-        self.mode = mode
         self.seed = seed
         self._hosts = hosts
         self._memory_size = memory_size
@@ -262,7 +230,6 @@ class Cluster:
         self._topology = resolve_topology(topology, seed=seed)
         self._faults = resolve_faults(faults, seed=seed)
         self._round_budget = round_budget
-        self._route_cache = route_cache
         self._max_retries = max_retries
         self._churn_rng = churn_rng
         self._join_fraction = join_fraction
@@ -316,12 +283,6 @@ class Cluster:
                 "churn from the recorded seed, so an external stream would "
                 "diverge on replay (drop churn_rng= or storage=)"
             )
-        if self._route_cache:
-            raise StorageError(
-                "storage= refuses route_cache=True: cache warmth spans "
-                "batches but is not snapshotted, so a recovered tail would "
-                "replay with different hit counts"
-            )
 
     def _create_payload(self, items: Sequence[Any] | None) -> dict[str, Any]:
         return {
@@ -330,7 +291,6 @@ class Cluster:
             "hosts": self._hosts,
             "memory_size": self._memory_size,
             "seed": self.seed,
-            "mode": self.mode,
             "max_retries": self._max_retries,
             "join_fraction": self._join_fraction,
             "min_hosts": self._min_hosts,
@@ -374,8 +334,6 @@ class Cluster:
         cls,
         structure: Any,
         *,
-        mode: str = "batched",
-        route_cache: bool = False,
         max_retries: int = 5,
         churn_rng: random.Random | None = None,
         join_fraction: float = 0.5,
@@ -394,7 +352,6 @@ class Cluster:
             if isinstance(structure, spec.cls):
                 cluster = cls.__new__(cls)
                 cluster.spec = spec
-                cluster.mode = mode
                 cluster.seed = 0
                 cluster._hosts = None
                 cluster._memory_size = None
@@ -403,7 +360,6 @@ class Cluster:
                 cluster._topology = structure.network.topology
                 cluster._faults = structure.network.faults
                 cluster._round_budget = None
-                cluster._route_cache = route_cache
                 cluster._max_retries = max_retries
                 cluster._churn_rng = churn_rng
                 cluster._join_fraction = join_fraction
@@ -505,7 +461,6 @@ class Cluster:
             )
             self._executor = BatchExecutor(
                 self.structure,
-                route_cache=self._route_cache,
                 max_retries=self._max_retries,
                 on_commit=on_commit,
                 round_budget=self._round_budget,
@@ -611,67 +566,13 @@ class Cluster:
                 handle.status = STATUS_UNSUPPORTED
         return handle
 
-    def _default_origin(self) -> HostId:
-        # Immediate singles start at the first alive origin, read from
-        # the executor's cached list (the one batches spread over).
-        origins = self.executor.alive_origins()
-        if not origins:
-            raise QueryError("cluster has no alive origin hosts")
-        return origins[0]
-
     def _run_single(
         self, kind: str, payload: Any, origin_host: HostId | None
     ) -> OperationHandle:
+        """Run one operation as a batch of one (journaled as a ``batch``)."""
         self._check_open()
-        kind = _canonical_kind(kind)
-        if self.mode == "batched":
-            return self._run_batch([Operation(kind, payload, origin_host=origin_host)])[0]
-        origin = origin_host if origin_host is not None else self._default_origin()
-        steps_of = {
-            "search": self.structure.search_steps,
-            "range": self.structure.range_steps,
-            "insert": self.structure.insert_steps,
-            "delete": self.structure.delete_steps,
-        }[kind]
-        handle = OperationHandle(
-            kind=kind, payload=payload, origin_host=origin, status="ok"
-        )
-        # One measurement window around *all* attempts: traffic burned by
-        # fault-retried attempts is real and stays billed on the handle.
-        with self.network.measure() as stats:
-            while True:
-                try:
-                    handle.value = run_immediate(
-                        self.network,
-                        steps_of(payload, origin),
-                        origin,
-                        kind=_KIND_OF[kind],
-                    )
-                except FaultInjectedError as error:
-                    if handle.retries >= self._max_retries:
-                        handle.error = error
-                        handle.status = STATUS_GAVE_UP
-                        break
-                    handle.retries += 1
-                    continue
-                except ReproError as error:
-                    handle.error = error
-                    handle.status = STATUS_FAILED
-                    self._classify(handle)
-                break
-        # Messages charged before a failure are real traffic; bill them on
-        # the handle either way (matching the batched path's accounting).
-        handle.messages = stats.messages
-        handle.latency = stats.latency
-        # Failed singles committed too (their error is deterministic), so
-        # journal unconditionally; batched-mode singles are journaled as
-        # one-operation batches by the executor's commit hook instead.
-        if self._durability is not None:
-            self._durability.record_action(
-                "single",
-                {"kind": kind, "payload": payload, "origin_host": origin_host},
-            )
-        return handle
+        operation = Operation(_canonical_kind(kind), payload, origin_host=origin_host)
+        return self._run_batch([operation])[0]
 
     # ------------------------------------------------------------------ #
     # lifecycle: churn, repair, sessions
@@ -745,9 +646,9 @@ class Cluster:
         """Bring a failed host back online (the inverse of a crash fault).
 
         Recovery is the self-healing half of fault injection: a host a
-        fault plan (or :class:`~repro.net.failure.FailureInjector`)
+        fault plan (or :func:`~repro.net.faults.inject_host_faults`)
         crash-stopped rejoins with its records intact — no repair traffic,
-        just a membership-epoch bump that invalidates stale route caches.
+        just a membership-epoch bump.
         """
         self._check_open()
         event = self.churn.recover(host_id)
@@ -885,7 +786,6 @@ class Cluster:
         return {
             "structure": self.spec.name,
             "seed": self.seed,
-            "mode": self.mode,
             "hosts": self._hosts,
             "memory_size": self._memory_size,
             "max_retries": self._max_retries,
@@ -913,7 +813,6 @@ class Cluster:
         config = state["config"]
         cluster = cls.__new__(cls)
         cluster.spec = resolve_structure(structure_name)
-        cluster.mode = config["mode"]
         cluster.seed = config["seed"]
         cluster._hosts = config["hosts"]
         cluster._memory_size = config["memory_size"]
@@ -928,7 +827,6 @@ class Cluster:
         # decision stream the pre-crash run would have.
         cluster._faults = state["structure"].network.faults
         cluster._round_budget = config.get("round_budget")
-        cluster._route_cache = False
         cluster._max_retries = config["max_retries"]
         cluster._churn_rng = None
         cluster._join_fraction = config["join_fraction"]
@@ -1021,6 +919,9 @@ class Cluster:
                 f"log records but only {len(records)} committed; the store "
                 "is inconsistent"
             )
+        # The tail to replay: past the snapshot, or all but the create record.
+        tail = records[snapshot[0]["upto"] if snapshot is not None else 1 :]
+        refuse_unreplayable_singles(create, tail)
         if snapshot is not None:
             manifest, blob = snapshot
             state = restore_snapshot(manifest, blob)
@@ -1046,18 +947,17 @@ class Cluster:
             cluster._attach_durability(controller)
             controller.applied_actions = manifest["actions"]
             cluster.network.add_membership_listener(controller.membership_listener)
-            controller.replay(cluster, records[manifest["upto"]:])
+            controller.replay(cluster, tail)
             return cluster
         # Full from-genesis replay: re-run construction, then re-execute
         # every committed action.  Keys no longer read (``trace``,
-        # ``workers``) are ignored.
+        # ``workers``, ``mode``) are ignored.
         cluster = cls(
             structure=create["structure"],
             items=create["items"],
             hosts=create["hosts"],
             memory_size=create["memory_size"],
             seed=create["seed"],
-            mode=create["mode"],
             topology=topology_from_config(create.get("topology")),
             faults=faults_from_config(create.get("faults")),
             round_budget=create.get("round_budget"),
@@ -1071,7 +971,7 @@ class Cluster:
         controller.applied_actions = 1  # the create record
         if cluster._structure is not None:
             cluster.network.add_membership_listener(controller.membership_listener)
-        controller.replay(cluster, records[1:])
+        controller.replay(cluster, tail)
         return cluster
 
     # ------------------------------------------------------------------ #
@@ -1127,6 +1027,6 @@ class Cluster:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         loaded = self._structure is not None
         return (
-            f"Cluster(structure={self.spec.name!r}, mode={self.mode!r}, "
+            f"Cluster(structure={self.spec.name!r}, "
             f"loaded={loaded}, hosts={self.network.host_count if loaded else 0})"
         )

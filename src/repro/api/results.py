@@ -98,7 +98,6 @@ class OperationHandle:
     messages: int = 0
     rounds: int = 0
     retries: int = 0
-    cache_hits: int = 0
     index: int = 0
     #: Sum of link costs of the operation's charged hops.  0 without an
     #: explicit topology; equals ``messages`` under ``FlatTopology``.
@@ -139,7 +138,6 @@ class OperationHandle:
             "messages": self.messages,
             "rounds": self.rounds,
             "retries": self.retries,
-            "cache_hits": self.cache_hits,
             "latency": self.latency,
         }
         if self.error is not None:
@@ -172,7 +170,6 @@ class OperationHandle:
             messages=outcome.messages,
             rounds=outcome.rounds,
             retries=outcome.retries,
-            cache_hits=outcome.cache_hits,
             index=index,
             latency=outcome.latency,
         )
@@ -259,14 +256,6 @@ class BatchReport:
     @property
     def retries(self) -> int:
         return sum(handle.retries for handle in self.handles)
-
-    @property
-    def cache_hits(self) -> int:
-        return self.raw.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.raw.cache_misses
 
     def round_congestion(self) -> RoundCongestionReport:
         """Full round-level congestion summary of the batch."""

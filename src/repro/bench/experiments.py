@@ -6,8 +6,9 @@ Every function returns a list of plain dictionaries (rows) so that the
 
 Every distributed structure is deployed through the public
 :class:`repro.api.Cluster` façade (see :func:`_cluster` below) — the
-same registry path clients use — in immediate mode, so every message
-count is byte-identical to the pre-façade direct constructions.
+same registry path clients use.  A façade single operation is a batch
+of one that costs the messages of the structure-level walk, so every
+message count is byte-identical to the pre-façade direct constructions.
 
 Experiment index (see DESIGN.md §3 for the full mapping):
 
@@ -71,10 +72,10 @@ def _cluster(name: str, items: Sequence[Any], **kwargs: Any) -> Cluster:
     """Deploy one structure family through the public façade.
 
     Every experiment constructs through :class:`repro.api.Cluster` (the
-    registry path clients use) in immediate mode, so single-operation
-    message counts stay byte-identical to the pre-façade direct calls.
+    registry path clients use); its single operations cost what the
+    pre-façade direct calls cost, message for message.
     """
-    return Cluster(structure=name, items=items, mode="immediate", **kwargs)
+    return Cluster(structure=name, items=items, **kwargs)
 
 
 def _structure(name: str, items: Sequence[Any], **kwargs: Any) -> Any:
@@ -702,8 +703,8 @@ def range_queries(
 
     For each structure and each target output size ``k``, seeded range
     queries (1-d intervals, boxes, DNA prefixes, planar windows) are run
-    twice: immediately (one at a time) and as one concurrent batch
-    through the round engine, from identical pinned origins — the two
+    twice through the round engine: one at a time (each a batch of one)
+    and as one concurrent batch, from identical pinned origins — the two
     must charge identical message totals.  Rows report the measured
     output size, messages per operation in both modes, and the cost
     normalised by ``log2(n) + k``, which stays roughly flat when the
@@ -722,11 +723,11 @@ def range_queries(
                 pinned = [
                     origins[index % len(origins)] for index in range(len(queries))
                 ]
-                immediate_messages = []
+                single_messages = []
                 k_values = []
                 for query, origin in zip(queries, pinned):
                     result = cluster.range(query, origin_host=origin).result()
-                    immediate_messages.append(result.messages)
+                    single_messages.append(result.messages)
                     k_values.append(result.count)
                 batch = cluster.batch(
                     [
@@ -743,13 +744,13 @@ def range_queries(
                         "k_target": k_target,
                         "supported": "yes",
                         "k_mean": round(k_mean, 1),
-                        "msgs_per_op": round(mean(immediate_messages), 2),
+                        "msgs_per_op": round(mean(single_messages), 2),
                         "batched_msgs_per_op": round(
                             batch.messages / batch.ops, 2
                         ),
                         "rounds": batch.rounds,
                         "per_logn_plus_k": round(
-                            mean(immediate_messages) / denominator, 2
+                            mean(single_messages) / denominator, 2
                         ),
                     }
                 )
@@ -900,14 +901,10 @@ def _mixed_operations(
     return operations
 
 
-def _throughput_row(
-    structure: str, n: int, report: BatchReport, cache: str = "off"
-) -> Row:
-    attempts = report.cache_hits + report.cache_misses
+def _throughput_row(structure: str, n: int, report: BatchReport) -> Row:
     return {
         "structure": structure,
         "n": n,
-        "cache": cache,
         "ops": report.ops,
         "completed": report.completed,
         "rounds": report.rounds,
@@ -915,7 +912,6 @@ def _throughput_row(
         "msgs_per_op": round(report.messages_per_op, 2),
         "C_round_max": report.max_round_congestion,
         "retries": report.retries,
-        "cache_hit_rate": round(report.cache_hits / attempts, 2) if attempts else 0.0,
     }
 
 
@@ -929,11 +925,9 @@ def throughput(
 
     For each size, three structure types (1-d, quadtree, trie skip-webs)
     each execute a shuffled batch of ``ops_per_size`` operations
-    concurrently under :class:`repro.engine.executor.BatchExecutor`; a
-    fourth pair of rows shows the 1-d structure with the per-origin route
-    cache cold versus warm.  Rows report throughput (ops per round),
-    messages per operation and the directly-measured maximum per-host
-    per-round congestion.
+    concurrently under :class:`repro.engine.executor.BatchExecutor`.
+    Rows report throughput (ops per round), messages per operation and
+    the directly-measured maximum per-host per-round congestion.
 
     Execution is two-phase: every unit's payloads are drawn serially
     from the one per-size ``rng`` (so the random streams are identical
@@ -995,29 +989,6 @@ def throughput(
             return [_throughput_row("trie skip-web", n, trie_web.batch(operations))]
 
         units.append(trie_unit)
-
-        # Route cache: same cluster (one executor), cold batch then warm
-        # batch.  Origin assignment is by batch index, so only the query
-        # payloads consume the shared rng here.
-        cache_payloads = [rng.uniform(0.0, 1_000_000.0) for _ in range(search_count)]
-
-        def cache_unit(n=n, keys=keys, payloads=cache_payloads):
-            cached_web = _cluster("skipweb1d", keys, seed=seed, route_cache=True)
-            origins = cached_web.structure.origin_hosts()
-            cache_queries = [
-                Operation(
-                    "search",
-                    payload,
-                    origin_host=origins[index % max(1, len(origins) // 8)],
-                )
-                for index, payload in enumerate(payloads)
-            ]
-            return [
-                _throughput_row("skip-web 1-d", n, cached_web.batch(cache_queries), cache="cold"),
-                _throughput_row("skip-web 1-d", n, cached_web.batch(cache_queries), cache="warm"),
-            ]
-
-        units.append(cache_unit)
 
     return [row for unit_rows in _run_units(units) for row in unit_rows]
 

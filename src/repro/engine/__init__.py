@@ -11,7 +11,7 @@ Three pieces turn the one-at-a-time simulator into a concurrent one:
 * :mod:`repro.engine.executor` — :class:`BatchExecutor`, which interleaves
   a batch of mixed operations round by round over the network's queued
   delivery mode, measuring throughput and per-host per-round congestion
-  directly, with an optional per-origin route cache as a fast path.
+  directly.
 
 A fourth piece, :mod:`repro.engine.repair`, drives the churn hooks of the
 protocol (``migrate_host`` / ``repair``) through the same round-based

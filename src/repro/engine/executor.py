@@ -28,24 +28,14 @@ and the structure consistent) — never leave a half-mutated structure.
 
 A batch of **one** search, insert or delete has nothing to interleave
 with, so while nothing can act on the round clock (no fault plan, no
-failed host, no ``on_round`` hook, no ``round_budget``, no route cache)
+failed host, no ``on_round`` hook, no ``round_budget``)
 :meth:`BatchExecutor.run` drives it with the same walk loop as
 :func:`~repro.engine.steps.run_immediate`, charging each crossing as a
 round of its own (:meth:`repro.net.network.Network.deliver`).  Its
 outcome, rounds, round reports and congestion aggregates are the ones
-the round scheduler would have produced, and a batched single now costs
-what an immediate one costs: ``Cluster(mode="immediate")`` differs only
-in deciding faults at send time and in how it is journaled.
-
-A per-origin **route cache** is available as a measurable fast path:
-when enabled, the first remote record a search fetches (its top-level
-descent entry) is memoized per origin host, so subsequent searches from
-the same origin resolve that record from the local copy — no message, no
-host crossing.  The cache is invalidated whenever an update completes,
-and whenever the network's membership changes (a host failing, recovering,
-joining or leaving — tracked via
-:attr:`repro.net.network.Network.membership_epoch`), since a memoized
-route may aim at a host that is now dead or gone.
+the round scheduler would have produced, and it costs the messages the
+structure-level walk costs.  This is how the ``Cluster`` façade runs
+every single operation: as a batch of one.
 """
 
 from __future__ import annotations
@@ -79,7 +69,7 @@ from repro.net.congestion import (
     summarize_round_reports,
 )
 from repro.net.message import MessageKind
-from repro.net.naming import Address, HostId
+from repro.net.naming import HostId
 from repro.net.network import PendingDelivery, RoundReport
 
 #: Errors caused by concurrent structural changes; the executor restarts
@@ -124,7 +114,6 @@ class OpOutcome:
     messages: int = 0
     rounds: int = 0
     retries: int = 0
-    cache_hits: int = 0
     #: Sum of link costs of the operation's charged crossings.  0 on a
     #: network without an explicit topology; equals ``messages`` under
     #: ``FlatTopology``.
@@ -160,8 +149,6 @@ class BatchResult:
     rounds: int
     messages: int
     round_reports: list[RoundReport] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     congestion_summary: RoundCongestionReport | None = None
     latency: int = 0
 
@@ -215,8 +202,6 @@ class BatchResult:
             "msgs_per_op": round(self.messages_per_op, 2),
             "ops_per_round": round(self.ops_per_round, 2),
             "max_round_congestion": self.max_round_congestion,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "latency": self.latency,
         }
 
@@ -250,8 +235,6 @@ class _InFlight:
         "started",
         "start_round",
         "resume_round",
-        "first_remote_done",
-        "warm_key",
         "done",
         "kind",
     )
@@ -268,8 +251,6 @@ class _InFlight:
         self.start_round: int | None = None
         # Round index before which the operation idles (fault backoff).
         self.resume_round: int | None = None
-        self.first_remote_done = False
-        self.warm_key: tuple[HostId, Address] | None = None
         self.done = False
         # Message kind, resolved once per operation instead of per post.
         # Unknown kinds stay None: _make_generator rejects them before
@@ -284,9 +265,6 @@ class BatchExecutor:
     ----------
     structure:
         Any :class:`~repro.engine.protocol.DistributedStructure`.
-    route_cache:
-        Enable the per-origin top-level record cache (default off, so
-        batched numbers match the immediate-mode numbers exactly).
     max_retries:
         How many times an operation is restarted after tripping over
         concurrently-modified state before its error is recorded.  The
@@ -316,7 +294,6 @@ class BatchExecutor:
     def __init__(
         self,
         structure: DistributedStructure,
-        route_cache: bool = False,
         max_retries: int = 5,
         max_rounds: int = 1_000_000,
         on_round: Callable[[RoundReport], None] | None = None,
@@ -325,16 +302,11 @@ class BatchExecutor:
     ) -> None:
         self.structure = structure
         self.network = structure.network
-        self.route_cache = route_cache
         self.max_retries = max_retries
         self.max_rounds = max_rounds
         self.round_budget = round_budget
         self.on_round = on_round
         self.on_commit = on_commit
-        self._cache: dict[tuple[HostId, Address], Any] = {}
-        self._cache_epoch = self.network.membership_epoch
-        self._cache_hits = 0
-        self._cache_misses = 0
         # alive_origins() memo: what the structure declared, at which epoch.
         self._origins: list[HostId] = []
         self._origins_declared: Any = None
@@ -351,9 +323,7 @@ class BatchExecutor:
         declares a new sequence (repair, an update that changes which
         hosts hold roots).  Structures hand out the same immutable
         sequence until their origins change, so that check is one
-        identity test.  The one place default origins come from — the
-        façade's immediate mode reads it too.
-        Callers index the returned list and never mutate it.
+        identity test.  Callers index the returned list and never mutate it.
         """
         declared = self.structure.origin_hosts()
         epoch = self.network.membership_epoch
@@ -386,19 +356,6 @@ class BatchExecutor:
             for index, operation in enumerate(operations)
         ]
 
-    def _sync_cache_epoch(self) -> None:
-        """Drop every memoized route once the network's membership changed.
-
-        Hosts can fail, recover, join or leave *mid-batch* (failure
-        injection via ``on_round``, churn between batches); a cached
-        top-level record may then live on a dead or departed host, and
-        serving it locally would silently route operations into the hole.
-        """
-        epoch = self.network.membership_epoch
-        if epoch != self._cache_epoch:
-            self._cache.clear()
-            self._cache_epoch = epoch
-
     # ------------------------------------------------------------------ #
     # batch driver
     # ------------------------------------------------------------------ #
@@ -414,10 +371,6 @@ class BatchExecutor:
         # Origins come from the cached alive-origin list: no per-batch
         # scan over the hosts.
         outcomes = self.place(operations)
-
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._sync_cache_epoch()
         network = self.network
         alone = len(outcomes) == 1 and self._walks_alone(outcomes[0])
         with network.rounds():
@@ -444,8 +397,6 @@ class BatchExecutor:
             rounds=rounds,
             messages=summary.total_messages,
             round_reports=round_reports,
-            cache_hits=self._cache_hits,
-            cache_misses=self._cache_misses,
             congestion_summary=summary,
             latency=summary.total_weight,
         )
@@ -462,8 +413,7 @@ class BatchExecutor:
         Only a walk that cannot fork qualifies, and only while nothing
         can act on the round clock between its crossings: a fault plan
         (round-start host rules, delays, backoff), a failed host, an
-        ``on_round`` hook, a round budget and the route cache all keep
-        the scheduler.
+        ``on_round`` hook and a round budget all keep the scheduler.
         """
         network = self.network
         return (
@@ -472,7 +422,6 @@ class BatchExecutor:
             and not network.failed_hosts
             and self.on_round is None
             and self.round_budget is None
-            and not self.route_cache
         )
 
     def _walk_alone(self, outcome: OpOutcome) -> None:
@@ -509,7 +458,6 @@ class BatchExecutor:
             except _RETRYABLE as error:
                 if outcome.retries < self.max_retries:
                     outcome.retries += 1
-                    self._cache.clear()
                     continue
                 outcome.error = error
             except ReproError as error:
@@ -519,9 +467,6 @@ class BatchExecutor:
                     raise
                 outcome.error = error
             break
-        if outcome.operation.kind in ("insert", "delete"):
-            # Structure changed: every memoized top-level copy is suspect.
-            self._cache.clear()
 
     # ------------------------------------------------------------------ #
     # per-operation stepping
@@ -564,7 +509,6 @@ class BatchExecutor:
                 except FaultInjectedError as error:
                     state.ticket = None
                     state.effect = None
-                    state.warm_key = None
                     return self._fault_retry(state, error)
                 except HostFailedError as error:
                     self._fail(state, error)
@@ -590,15 +534,9 @@ class BatchExecutor:
                 except _RETRYABLE as error:
                     state.ticket = None
                     state.effect = None
-                    state.warm_key = None
                     return self._retry_or_fail(state, error)
-                if state.warm_key is not None and is_visit:
-                    # Memoize the fetched top-level record as the origin
-                    # host's local copy for later searches.
-                    self._cache[state.warm_key] = value
                 state.ticket = None
                 state.effect = None
-                state.warm_key = None
                 resolution = Resolution(value=value, host=target, charged=True, cost=cost)
             return self._advance(state, resolution)
 
@@ -659,28 +597,6 @@ class BatchExecutor:
                     return self._retry_or_fail(state, error)
                 resolution = Resolution(value, target, False)
                 continue
-            if (
-                self.route_cache
-                and is_visit
-                and state.outcome.operation.kind == "search"
-                and not state.first_remote_done
-            ):
-                self._sync_cache_epoch()
-                cache_key = (state.outcome.origin_host, effect.address)
-                cached = self._cache.get(cache_key)
-                state.first_remote_done = True
-                if cached is not None:
-                    # Served from the origin's local copy: no message, the
-                    # operation keeps executing at its origin host.
-                    self._cache_hits += 1
-                    state.outcome.cache_hits += 1
-                    resolution = Resolution(value=cached, host=state.current, charged=False)
-                    continue
-                self._cache_misses += 1
-                self._post(state, effect, target, warm_cache_key=cache_key)
-                return True
-            if is_visit:
-                state.first_remote_done = True
             self._post(state, effect, target)
             return True
 
@@ -826,16 +742,9 @@ class BatchExecutor:
                 state.start_round = self.network.rounds_completed
             return
 
-    def _post(
-        self,
-        state: _InFlight,
-        effect: Visit | HopTo,
-        target: HostId,
-        warm_cache_key: tuple[HostId, Address] | None = None,
-    ) -> None:
+    def _post(self, state: _InFlight, effect: Visit | HopTo, target: HostId) -> None:
         state.ticket = self.network.post(state.current, target, kind=state.kind)
         state.effect = effect
-        state.warm_key = warm_cache_key
         if state.start_round is None:
             state.start_round = self.network.rounds_completed
 
@@ -851,16 +760,11 @@ class BatchExecutor:
         state.outcome.value = value
         state.outcome.rounds = self._rounds_spanned(state)
         state.done = True
-        if state.outcome.operation.kind in ("insert", "delete"):
-            # Structure changed: every memoized top-level copy is suspect.
-            self._cache.clear()
 
     def _fail(self, state: _InFlight, error: Exception) -> None:
         state.outcome.error = error
         state.outcome.rounds = self._rounds_spanned(state)
         state.done = True
-        if state.outcome.operation.kind in ("insert", "delete"):
-            self._cache.clear()
 
     def _retry_or_fail(self, state: _InFlight, error: Exception) -> bool:
         if state.outcome.retries >= self.max_retries:
@@ -874,14 +778,6 @@ class BatchExecutor:
         state.branches = None
         state.branch_error = None
         state.current = state.outcome.origin_host
-        state.first_remote_done = False
-        state.warm_key = None
-        # A conflict means some record the operation relied on changed
-        # underneath it — possibly one that reached it through the route
-        # cache (e.g. an update made through the immediate API, which the
-        # executor cannot observe).  Drop every memoized copy so the retry
-        # re-fetches fresh state instead of looping on the same stale record.
-        self._cache.clear()
         return self._advance(state, None)
 
     # ------------------------------------------------------------------ #
@@ -931,8 +827,5 @@ class BatchExecutor:
         state.branches = None
         state.branch_error = None
         state.current = state.outcome.origin_host
-        state.first_remote_done = False
-        state.warm_key = None
-        self._cache.clear()
         state.resume_round = self.network.rounds_completed + state.outcome.retries
         return True

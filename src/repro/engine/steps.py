@@ -60,9 +60,7 @@ class Visit:
     """Effect: dereference ``address``, moving the operation to its host.
 
     Resolves to the stored item.  Costs one message when the address lives
-    on a different host than the operation's current position (unless a
-    driver-level cache serves a local copy, in which case the operation
-    stays put and pays nothing).
+    on a different host than the operation's current position.
     """
 
     __slots__ = ("address",)
@@ -124,9 +122,9 @@ Step = Union[Visit, HopTo, Fork]
 class Resolution:
     """What the driver hands back into the generator for one effect.
 
-    ``host`` is where the operation executes after the effect (a cache hit
-    leaves it in place), ``charged`` says whether a message was spent, and
-    ``value`` is the dereferenced item for :class:`Visit` effects.
+    ``host`` is where the operation executes after the effect,
+    ``charged`` says whether a message was spent, and ``value`` is the
+    dereferenced item for :class:`Visit` effects.
     ``cost`` is the link cost of the charged crossing — 1 for a charged
     hop unless the driver's network carries an explicit
     :class:`~repro.net.topology.Topology` pricing the link differently,

@@ -17,9 +17,6 @@ single-process simulator:
   structure, automatically charging messages when it crosses hosts.
 * :class:`~repro.net.congestion.CongestionReport` — the congestion measure
   ``C(n)`` of §1.1.
-* :mod:`repro.net.failure` — optional failure injection used by tests to
-  check that stale pointers are detected (the paper assumes no failures;
-  this is an extension).
 * :mod:`repro.net.churn` — live membership change: hosts joining,
   leaving gracefully (with record hand-off) or crashing (followed by
   structure self-repair); also an extension beyond the paper.
@@ -63,7 +60,6 @@ from repro.net.faults import (
     inject_host_faults,
     resolve_faults,
 )
-from repro.net.failure import FailureInjector
 from repro.net.churn import ChurnController, ChurnEvent, churn_schedule
 
 __all__ = [
@@ -94,7 +90,6 @@ __all__ = [
     "congestion_report",
     "round_congestion_report",
     "summarize_round_reports",
-    "FailureInjector",
     "FaultPlan",
     "FaultRule",
     "FAULT_NAMES",

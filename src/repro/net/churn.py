@@ -166,7 +166,7 @@ class ChurnController:
         survived), not of a crash *event* (which repairs the records away
         and removes the host).  No data moves and no repair traffic is
         charged; the membership epoch bump is what downstream layers
-        (route caches, repair engines) react to.
+        (the executor's origin list, repair engines) react to.
         """
         failed = sorted(self.network.failed_hosts)
         if host_id is not None:

@@ -222,9 +222,9 @@ def outage(
 def inject_host_faults(network: "Network", host_ids: Iterable[HostId]) -> list[HostId]:
     """Fail the listed hosts, skipping unknown or already-failed ids.
 
-    The single host-fault choke point: both :meth:`FaultPlan.begin_round`
-    and the legacy :class:`repro.net.failure.FailureInjector` route
-    through it, so "never re-fail a failed host" holds everywhere.
+    The single host-fault choke point: :meth:`FaultPlan.begin_round` and
+    scripted crashes route through it, so "never re-fail a failed host"
+    holds everywhere.  :meth:`Network.recover_host` is the inverse.
     Returns the ids actually failed, in input order.
     """
     failed: list[HostId] = []

@@ -207,8 +207,8 @@ class Network:
         self._failed_hosts: set[HostId] = set()
         # Bumped on every membership change (join, leave, failure,
         # recovery) so that caches keyed on host layout — e.g. the
-        # BatchExecutor's per-origin route cache — can cheaply detect
-        # that their entries may now point at dead or departed hosts.
+        # BatchExecutor's alive-origin list — can cheaply detect that
+        # their entries may now point at dead or departed hosts.
         self._membership_epoch = 0
         # Callables invoked on every membership event ("add" / "remove" /
         # "fail" / "recover", host_id).  The durability layer subscribes

@@ -50,7 +50,6 @@ _SPEC_KEYS = frozenset(
         "seed",
         "hosts",
         "memory_size",
-        "mode",
         "topology",
         "faults",
         "round_budget",
@@ -271,7 +270,6 @@ class ServedCluster:
         return {
             "name": self.name,
             "structure": stats["structure"],
-            "mode": self.cluster.mode,
             "seed": self.cluster.seed,
             "items_loaded": self.items_loaded,
             "topology": (
@@ -345,7 +343,6 @@ class ClusterManager:
                 tuple(item) if isinstance(item, list) else item for item in items
             ],
             "seed": seed,
-            "mode": spec.get("mode", "batched"),
             "faults": _resolve_fault_spec(spec.get("faults"), seed),
             "topology": spec.get("topology"),
             "round_budget": spec.get("round_budget"),

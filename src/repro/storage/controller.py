@@ -3,10 +3,10 @@
 One :class:`DurabilityController` sits between a ``Cluster`` façade and
 a :class:`~repro.storage.backends.StorageBackend`.  In normal operation
 it is write-only: every *committed* action — construction, bulk-load,
-batch, immediate single, churn event, repair, churn re-configuration —
-is appended to the log **after** it has fully applied in memory, and
-every network membership mutation is appended as an audit record the
-moment it happens.  Because the append is post-commit, a crash at any
+batch (a single operation is a batch of one), churn event, repair,
+churn re-configuration — is appended to the log **after** it has fully
+applied in memory, and every network membership mutation is appended
+as an audit record the moment it happens.  Because the append is post-commit, a crash at any
 instant leaves the log describing exactly the committed prefix of the
 run: the worst a SIGKILL can do is lose the action that was in flight
 (plus its already-flushed audit records, which recovery discards as an
@@ -27,9 +27,10 @@ aggregates, churn victim choices — is byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ReproError, StorageError
+from repro.net.faults import HOST_FAULTS
 from repro.storage.backends import StorageBackend
 from repro.storage.record import LogRecord
 
@@ -50,6 +51,42 @@ def committed_prefix(records: Sequence[LogRecord]) -> int:
     while count > 0 and records[count - 1].kind == "membership":
         count -= 1
     return count
+
+
+def refuse_unreplayable_singles(create: Mapping[str, Any], records: Sequence[LogRecord]) -> None:
+    """Refuse a retired ``mode: "immediate"`` journal whose singles could diverge.
+
+    Older builds had a ``Cluster`` ``mode`` whose ``"immediate"`` setting
+    ran single operations off the round clock and journaled them as
+    ``single`` records.  Those records now replay as one-op batches,
+    which lands on the same state except where the old path differed:
+    it applied no round budget, its fault plan decided each send with no round index
+    (a burst ``window`` never matched, a host rule never fired inside a
+    single), and a range report walked its sub-walks back to back, so a
+    drop cut it short at a different point.  When ``records`` (the tail
+    to replay) holds a ``single`` and the ``create`` record makes one of
+    those differences possible, recovery raises here, before replaying
+    anything, instead of replaying onto a silently different state.
+    """
+    if create.get("mode") != "immediate":
+        return
+    singles = [record for record in records if record.kind == "single"]
+    if not singles:
+        return
+    rules = (create.get("faults") or {}).get("rules", ())
+    if create.get("round_budget") is not None:
+        reason = "a round budget"
+    elif any("window" in rule or rule["kind"] in HOST_FAULTS for rule in rules):
+        reason = "a fault plan that reads the round clock"
+    elif rules and any(record.payload["kind"] == "range" for record in singles):
+        reason = "range singles under a fault plan"
+    else:
+        return
+    raise StorageError(
+        f"journal was written in the retired mode 'immediate' with {reason}; "
+        "its single operations now replay as one-op batches and could diverge "
+        "from the recorded run, so recovery refuses it"
+    )
 
 
 class DurabilityController:
@@ -182,6 +219,8 @@ class DurabilityController:
                 [tuple(operation) for operation in payload["operations"]]
             )
         elif kind == "single":
+            # Retired immediate mode: replays as a one-op batch (see
+            # refuse_unreplayable_singles for when that could diverge).
             cluster._run_single(
                 payload["kind"], payload["payload"], payload["origin_host"]
             )

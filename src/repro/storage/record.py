@@ -36,6 +36,7 @@ from repro.errors import StorageError
 FORMAT_VERSION = 1
 
 #: Record kinds that mutate cluster state and are re-executed on replay.
+#: Only stores written by the retired immediate mode hold ``single``.
 ACTION_KINDS = frozenset(
     {"create", "bulk_load", "batch", "single", "churn", "repair", "configure_churn"}
 )

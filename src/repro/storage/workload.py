@@ -10,8 +10,8 @@ draws (churn victim selection) live in the cluster's own journaled and
 snapshotted rng.
 
 Invariant the resume arithmetic leans on: **one step = exactly one
-action record**.  Batches are one ``batch`` record; immediate singles
-would be one ``single`` record; churn is one ``churn`` record.  The
+action record**.  Batches (singles included) are one ``batch``
+record; churn is one ``churn`` record.  The
 cluster's ``applied_operations`` counter therefore equals ``1 (create)
 + steps committed``, which is how :func:`resume_workload` finds where
 the crash interrupted.

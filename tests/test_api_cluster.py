@@ -152,17 +152,21 @@ class TestClusterOperations:
         assert loaded.messages == empty.stats().construction_messages
         assert loaded.messages > 0
 
-    def test_single_operations_in_both_modes(self):
-        for mode in ("immediate", "batched"):
-            cluster = _cluster("skipweb1d", mode=mode)
-            found = cluster.nearest(KEYS[2])
-            assert found.ok and found.value.answer.exact
-            inserted = cluster.insert(17.5)
-            assert inserted.ok
-            window = cluster.range((0.0, 1_000_000.0))
-            assert window.ok and window.value.count == len(set(KEYS)) + 1
-            removed = cluster.delete(17.5)
-            assert removed.ok
+    def test_single_operations(self):
+        cluster = _cluster("skipweb1d")
+        found = cluster.nearest(KEYS[2])
+        assert found.ok and found.value.answer.exact
+        inserted = cluster.insert(17.5)
+        assert inserted.ok
+        window = cluster.range((0.0, 1_000_000.0))
+        assert window.ok and window.value.count == len(set(KEYS)) + 1
+        removed = cluster.delete(17.5)
+        assert removed.ok
+
+    @pytest.mark.parametrize("knob", ["mode", "route_cache"])
+    def test_retired_knobs_are_rejected(self, knob):
+        with pytest.raises(StructureError, match=f"unexpected keyword argument '{knob}'"):
+            _cluster("skipweb1d", **{knob: "immediate"})
 
     def test_alias_kinds_and_mappings(self):
         cluster = _cluster("skipweb1d")
@@ -212,7 +216,7 @@ class TestClusterOperations:
 
     def test_from_structure_wraps_existing_instance(self):
         web = SkipWeb1D(KEYS, seed=3)
-        cluster = Cluster.from_structure(web, mode="immediate")
+        cluster = Cluster.from_structure(web)
         assert cluster.structure is web
         assert cluster.spec.name == "skipweb1d"
         assert cluster.nearest(KEYS[0]).ok
@@ -233,8 +237,8 @@ class TestClusterOperations:
             cluster.crash_host()
         assert [event.kind for event in cluster.churn_events] == ["join", "crash"]
 
-    def test_immediate_failure_still_bills_messages(self):
-        cluster = _cluster("skipweb1d", mode="immediate")
+    def test_failed_single_still_bills_messages(self):
+        cluster = _cluster("skipweb1d")
         # Find a query whose walk crosses at least two hosts, so failing
         # its final host leaves charged traffic before the failure.
         probe = next(
@@ -287,10 +291,10 @@ class TestErrorTaxonomy:
 class TestFacadeEqualsDirect:
     """Construction through the façade changes no message count."""
 
-    def test_skipweb1d_immediate_queries_match(self):
+    def test_skipweb1d_single_queries_match(self):
         keys = uniform_keys(48, seed=11)
         direct = SkipWeb1D(keys, seed=11)
-        cluster = Cluster(structure="skipweb1d", items=keys, seed=11, mode="immediate")
+        cluster = Cluster(structure="skipweb1d", items=keys, seed=11)
         origins = direct.origin_hosts()
         for index, query in enumerate(uniform_keys(12, seed=13)):
             origin = origins[index % len(origins)]
@@ -317,7 +321,7 @@ class TestFacadeEqualsDirect:
     def test_chord_lookup_matches(self):
         keys = uniform_keys(32, seed=11)
         direct = ChordDHT(keys)
-        cluster = Cluster(structure="chord", items=keys, mode="immediate")
+        cluster = Cluster(structure="chord", items=keys)
         origin = direct.origin_hosts()[0]
         for key in keys[:8]:
             assert (
@@ -347,9 +351,8 @@ class TestAliveOrigins:
     def _assert_origins(self, cluster, step):
         expected = self._expected(cluster)
         assert expected, step
-        if cluster.mode == "immediate":
-            assert cluster.get(self.ITEMS[0]).origin_host == expected[0], step
-            return
+        # A single is a batch of one: it starts at the first alive origin.
+        assert cluster.get(self.ITEMS[0]).origin_host == expected[0], step
         count = len(expected) + 3  # wraps around the round-robin
         report = cluster.batch([("get", key) for key in (self.ITEMS * 2)[:count]])
         assert [handle.origin_host for handle in report] == [
@@ -358,13 +361,8 @@ class TestAliveOrigins:
         # With a failed host unrepaired, walks through it fail — but none starts there.
         assert cluster.network.failed_hosts or all(handle.ok for handle in report), step
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(), dict(mode="immediate")],
-        ids=["serial", "immediate"],
-    )
-    def test_every_membership_change_is_seen_by_the_next_call(self, kwargs):
-        cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3, **kwargs)
+    def test_every_membership_change_is_seen_by_the_next_call(self):
+        cluster = Cluster("skipweb1d", items=self.ITEMS, seed=3)
         self._assert_origins(cluster, "fresh")
         joined = cluster.join_host().host
         assert joined in self._expected(cluster)

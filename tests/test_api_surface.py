@@ -60,11 +60,10 @@ EXPECTED_SIGNATURES = {
     "Cluster.__init__": (
         "(self, structure: 'str' = 'skipweb1d', items: 'Sequence[Any] | None' = None, "
         "*, hosts: 'int | None' = None, memory_size: 'int | None' = None, "
-        "seed: 'int' = 0, mode: 'str' = 'batched', network: 'Network | None' = None, "
+        "seed: 'int' = 0, network: 'Network | None' = None, "
         "topology: \"'Topology | str | None'\" = None, "
         "faults: \"'FaultPlan | str | Mapping[str, Any] | None'\" = None, "
-        "round_budget: 'int | None' = None, "
-        "route_cache: 'bool' = False, max_retries: 'int' = 5, "
+        "round_budget: 'int | None' = None, max_retries: 'int' = 5, "
         "churn_rng: 'random.Random | None' = None, join_fraction: 'float' = 0.5, "
         "min_hosts: 'int' = 2, storage: \"'str | StorageBackend | None'\" = None, "
         "snapshot_every: 'int' = 0, **options: 'Any') -> 'None'"
@@ -112,8 +111,8 @@ EXPECTED_SIGNATURES = {
     "Cluster.congestion": "(self) -> 'Any'",
     "Cluster.round_congestion": "(self) -> 'RoundCongestionReport'",
     "Cluster.from_structure": (
-        "(structure: 'Any', *, mode: 'str' = 'batched', route_cache: 'bool' = False, "
-        "max_retries: 'int' = 5, churn_rng: 'random.Random | None' = None, "
+        "(structure: 'Any', *, max_retries: 'int' = 5, "
+        "churn_rng: 'random.Random | None' = None, "
         "join_fraction: 'float' = 0.5, min_hosts: 'int' = 2) -> \"'Cluster'\""
     ),
     "register_structure": "(spec: 'StructureSpec') -> 'StructureSpec'",
@@ -140,7 +139,6 @@ EXPECTED_HANDLE_FIELDS = [
     "messages",
     "rounds",
     "retries",
-    "cache_hits",
     "index",
     "latency",
 ]

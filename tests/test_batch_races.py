@@ -10,6 +10,7 @@ duplicate does.  These tests turn the races into regression tests:
 * ``[get x, insert x, insert x]`` returns one handle per operation, with
   exactly one insert failed typed, instead of raising out of the batch;
 * ordered baselines keep one copy of the key (65 keys, not 66);
+* the static Chord DHT reports every update ``unsupported``;
 * a journaled cluster recovers to the state the live one holds;
 * ``POST /batch`` answers 200 with the typed per-handle failure.
 
@@ -44,6 +45,7 @@ SCENARIOS = {
     "non-skipgraph": (KEYS, ABSENT, {}),
     "family-tree": (KEYS, ABSENT, {}),
     "det-skipnet": (KEYS, ABSENT, {}),
+    "bucket-skipgraph": (KEYS, ABSENT, {}),
 }
 SKIP_WEBS = ["skipweb1d", "skipquadtree", "skiptrie", "bucket-skipweb1d"]
 BASELINES = ["skipgraph", "skipnet", "non-skipgraph", "family-tree", "det-skipnet"]
@@ -127,6 +129,41 @@ class TestBaselinesKeepOneCopy:
         handles = list(cluster.batch([("get", KEYS[5]), ("delete", KEYS[5]), ("delete", KEYS[5])]))
         _assert_one_loser(handles, (1, 2))
         assert _stored(cluster, name) == (63, 63)
+
+
+class TestBucketSkipGraph:
+    def test_get_insert_insert(self):
+        cluster = _cluster("bucket-skipgraph")
+        handles = list(cluster.batch([("get", ABSENT), ("insert", ABSENT), ("insert", ABSENT)]))
+        assert handles[0].ok
+        _assert_one_loser(handles, (1, 2))
+        assert _stored(cluster, "bucket-skipgraph") == (65, 65)
+
+    def test_get_delete_delete(self):
+        # The winner's search never leaves its host, so it applies in its
+        # first step and the loser fails its up-front check, unsearched.
+        cluster = _cluster("bucket-skipgraph")
+        handles = list(cluster.batch([("get", KEYS[5]), ("delete", KEYS[5]), ("delete", KEYS[5])]))
+        assert [handle.status for handle in handles] == ["ok", "ok", "failed"]
+        assert isinstance(handles[2].error, UpdateError)
+        assert _stored(cluster, "bucket-skipgraph") == (63, 63)
+
+
+class TestStaticChord:
+    @pytest.mark.parametrize(
+        "operations",
+        [
+            [("get", KEYS[1]), ("insert", ABSENT), ("insert", ABSENT)],
+            [("get", KEYS[5]), ("delete", KEYS[5]), ("delete", KEYS[5])],
+        ],
+        ids=["insert", "delete"],
+    )
+    def test_every_update_is_unsupported(self, operations):
+        cluster = Cluster("chord", items=KEYS, seed=1)
+        handles = list(cluster.batch(operations))
+        assert [handle.status for handle in handles] == ["ok", "unsupported", "unsupported"]
+        assert all(isinstance(handle.error, UpdateError) for handle in handles[1:])
+        assert _stored(cluster, "chord") == (64, 64)
 
 
 class TestJournalAgrees:

@@ -169,13 +169,12 @@ class TestExperiments:
 
     def test_throughput_rows_cover_three_structures(self):
         rows = throughput(sizes=(48,), ops_per_size=40, seed=5)
-        mixed = [row for row in rows if row["cache"] == "off"]
-        assert {row["structure"] for row in mixed} == {
+        assert [row["structure"] for row in rows] == [
             "skip-web 1-d",
             "quadtree skip-web",
             "trie skip-web",
-        }
-        for row in mixed:
+        ]
+        for row in rows:
             assert row["rounds"] > 0
             assert row["msgs_per_op"] > 0
             assert row["C_round_max"] >= 1

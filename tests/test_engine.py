@@ -55,7 +55,7 @@ class TestSteps:
         assert network.total_messages == 2
 
     def test_cursor_does_not_move_on_uncharged_resolution(self):
-        """A cache-style resolution leaves the cursor (and cost) in place."""
+        """An uncharged resolution leaves the cursor (and cost) in place."""
         cursor = StepCursor(0)
         gen = cursor.visit(None)
         next(gen)
@@ -254,90 +254,6 @@ class TestBatchExecutor:
         update = BatchExecutor(chord).run([Operation("insert", 1.0)])
         assert update.failed == 1
         assert isinstance(update.outcomes[0].error, UpdateError)
-
-    def test_route_cache_warms_across_batches(self):
-        rng = random.Random(9)
-        keys = uniform_keys(64, seed=9)
-        web = SkipWeb1D(keys, seed=9)
-        executor = BatchExecutor(web, route_cache=True)
-        operations = [
-            Operation("search", rng.uniform(0, 1e6), origin_host=2) for _ in range(15)
-        ]
-        cold = executor.run(operations)
-        warm = executor.run(operations)
-        assert cold.cache_hits == 0
-        assert warm.cache_hits > 0
-        assert warm.messages < cold.messages
-        # Cached answers stay correct.
-        for outcome in warm.outcomes:
-            direct = web.nearest(outcome.operation.payload, origin_host=2)
-            assert direct.answer.nearest == outcome.value.answer.nearest
-
-    def test_update_invalidates_route_cache(self):
-        rng = random.Random(10)
-        keys = uniform_keys(32, seed=10)
-        web = SkipWeb1D(keys, seed=10)
-        executor = BatchExecutor(web, route_cache=True)
-        operations = [
-            Operation("search", rng.uniform(0, 1e6), origin_host=1) for _ in range(10)
-        ]
-        executor.run(operations)
-        executor.run([Operation("insert", 2_500_000.0)])
-        after = executor.run(operations)
-        # First search batch after the insert must re-fetch (cache cleared).
-        assert after.cache_misses > 0
-        web.web.validate()
-
-    def test_failure_injection_invalidates_route_cache(self):
-        """Failing or recovering hosts mid-session drops memoized routes.
-
-        A cached top-level record is served without touching the network,
-        so without epoch-based invalidation a batch after a failure would
-        happily route searches via records on dead hosts.
-        """
-        from repro.net import FailureInjector
-
-        rng = random.Random(13)
-        keys = uniform_keys(32, seed=13)
-        web = SkipWeb1D(keys, seed=13)
-        executor = BatchExecutor(web, route_cache=True)
-        operations = [
-            Operation("search", rng.uniform(0, 1e6), origin_host=1) for _ in range(10)
-        ]
-        executor.run(operations)
-        warm = executor.run(operations)
-        assert warm.cache_hits > 0 and warm.cache_misses == 0
-
-        injector = FailureInjector(web.network)
-        victim = web.origin_hosts()[-1]
-        injector.fail([victim])
-        injector.recover_all()
-        # Membership changed (fail + recover): every memoized route is
-        # suspect, so the next batch must re-fetch instead of hitting.
-        after = executor.run(operations)
-        assert after.cache_misses > 0
-
-    def test_mid_batch_failure_invalidates_route_cache(self):
-        """Epoch sync also fires inside a batch, via the on_round hook."""
-        rng = random.Random(14)
-        keys = uniform_keys(32, seed=14)
-        web = SkipWeb1D(keys, seed=14)
-
-        def flicker(report):
-            if report.index == 0:
-                victim = web.origin_hosts()[-1]
-                web.network.fail_host(victim)
-                web.network.recover_host(victim)
-
-        executor = BatchExecutor(web, route_cache=True, on_round=flicker)
-        operations = [
-            Operation("search", rng.uniform(0, 1e6), origin_host=2) for _ in range(8)
-        ]
-        executor.run(operations)
-        warm = executor.run(operations)
-        # The flicker during each run keeps clearing the cache, so warm
-        # batches cannot blindly reuse pre-failure routes.
-        assert warm.cache_misses > 0
 
     def test_unknown_operation_kind_rejected(self):
         web = SkipWeb1D(uniform_keys(8, seed=11), seed=11)

@@ -5,10 +5,10 @@ The subsystem's contract has three legs, each pinned here:
 * **Determinism** — every fault decision flows from one seeded rng at
   one delivery choke point, so two identical runs (and a journal
   replay) make byte-identical fault decisions.
-* **Resilience** — the executors absorb injected faults: bounded
-  retries with linear backoff, round budgets that time operations out,
-  and an immediate-mode retry loop; exhaustion is a typed terminal
-  status (``gave_up`` / ``timed_out``), never a hang.
+* **Resilience** — the executor absorbs injected faults: bounded
+  retries with linear backoff and round budgets that time operations
+  out, for batches and single operations alike; exhaustion is a typed
+  terminal status (``gave_up`` / ``timed_out``), never a hang.
 * **Recovery** — crash-stopped hosts come back (scheduled
   ``recover_after``, ``ChurnController.recover``,
   ``Cluster.recover_host``), and the durability layer journals all of
@@ -33,13 +33,7 @@ from repro.errors import (
     OperationTimedOutError,
     StorageError,
 )
-from repro.net import (
-    ChurnController,
-    FailureInjector,
-    MessageKind,
-    Network,
-    churn_schedule,
-)
+from repro.net import ChurnController, MessageKind, Network, churn_schedule
 from repro.net.churn import EVENT_KINDS
 from repro.net.faults import (
     FAULT_NAMES,
@@ -282,6 +276,13 @@ class TestHostFaults:
         assert inject_host_faults(network, [1, 2]) == [2]
         assert network.failed_hosts == {1, 2}
 
+    def test_inject_host_faults_never_refails_and_reports_actual_victims(self):
+        network = Network()
+        network.add_hosts(4)
+        assert inject_host_faults(network, [1, 2]) == [1, 2]
+        assert inject_host_faults(network, [2, 3, 99]) == [3]
+        assert network.failed_hosts == {1, 2, 3}
+
 
 class TestClusterResilience:
     @staticmethod
@@ -347,24 +348,22 @@ class TestClusterResilience:
         assert all(topology.cluster_of(host) == 0 for host in failed)
         assert cluster.network.alive_host_ids()
 
-    def test_immediate_mode_retries_then_succeeds(self):
+    def test_single_operations_retry_then_succeed(self):
         cluster = Cluster(
             "skipweb1d",
             KEYS,
             seed=7,
-            mode="immediate",
             faults=FaultPlan([drop(0.3, message_kind="query")], seed=7),
         )
         handles = [cluster.nearest(query) for query in QUERIES[:6]]
         assert all(handle.ok for handle in handles)
         assert sum(handle.retries for handle in handles) > 0
 
-    def test_immediate_mode_gives_up_on_total_loss(self):
+    def test_single_operation_gives_up_on_total_loss(self):
         cluster = Cluster(
             "skipweb1d",
             KEYS,
             seed=7,
-            mode="immediate",
             max_retries=2,
             faults=FaultPlan([drop(1.0, message_kind="query")], seed=7),
         )
@@ -408,7 +407,7 @@ class TestChurnRecover:
     def test_recover_brings_a_crash_stopped_host_back(self):
         web, controller = self._web_and_controller()
         victim = web.origin_hosts()[2]
-        FailureInjector(web.network).fail([victim])
+        inject_host_faults(web.network, [victim])
         event = controller.recover(victim)
         assert event.kind == "recover"
         assert event.host == victim
@@ -418,7 +417,7 @@ class TestChurnRecover:
     def test_recover_samples_among_failed_hosts(self):
         web, controller = self._web_and_controller(seed=1)
         victims = web.origin_hosts()[1:3]
-        FailureInjector(web.network).fail(victims)
+        inject_host_faults(web.network, victims)
         event = controller.recover()
         assert event.host in victims
         assert len(web.network.failed_hosts) == 1
@@ -432,7 +431,7 @@ class TestChurnRecover:
 
     def test_run_schedule_accepts_recover_events(self):
         web, controller = self._web_and_controller(seed=3)
-        FailureInjector(web.network).fail([web.origin_hosts()[4]])
+        inject_host_faults(web.network, [web.origin_hosts()[4]])
         events = controller.run_schedule(["recover"])
         assert [event.kind for event in events] == ["recover"]
 
@@ -447,27 +446,6 @@ class TestChurnRecover:
         weighted = churn_schedule(200, random.Random(4), recover_weight=2.0)
         assert "recover" in weighted
         assert set(weighted) <= set(EVENT_KINDS)
-
-
-class TestFailureInjector:
-    def test_fail_never_refails_and_reports_actual_victims(self):
-        network = Network()
-        network.add_hosts(4)
-        injector = FailureInjector(network)
-        assert injector.fail([1, 2]) == [1, 2]
-        assert injector.fail([2, 3, 99]) == [3]
-        assert injector.failed == {1, 2, 3}
-
-    def test_fail_random_fails_at_least_one_host(self):
-        network = Network()
-        network.add_hosts(5)
-        injector = FailureInjector(network, rng=random.Random(0))
-        victims = injector.fail_random(0.1)  # 5 * 0.1 truncates to 0
-        assert len(victims) == 1
-        injector.recover_all()
-        assert injector.fail_random(0.0) == []
-        with pytest.raises(ValueError, match="fraction"):
-            injector.fail_random(1.5)
 
 
 class TestDurability:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import AddressError, HostFailedError, HostMemoryExceeded, UnknownHostError
-from repro.net import Address, FailureInjector, Host, MessageKind, Network, Traversal
+from repro.net import Address, Host, MessageKind, Network, Traversal
 from repro.net.congestion import congestion_report, round_congestion_report
+from repro.net.faults import inject_host_faults
 from repro.net.message import MessageLog
 
 
@@ -426,33 +427,14 @@ class TestRoundMode:
                 with network.rounds():
                     pass  # pragma: no cover
 
-
-class TestFailureInjector:
-    def test_fail_and_recover(self):
-        network = Network()
-        network.add_hosts(10)
-        injector = FailureInjector(network)
-        failed = injector.fail_random(0.3)
-        assert len(failed) == 3
-        assert injector.failed == set(failed)
-        injector.recover_all()
-        assert injector.failed == set()
-
-    def test_fraction_validation(self):
-        network = Network()
-        network.add_hosts(2)
-        with pytest.raises(ValueError):
-            FailureInjector(network).fail_random(1.5)
-
-    def test_injector_failure_between_rounds(self):
+    def test_host_failure_between_rounds(self):
         """Failing a host mid-session only poisons deliveries to that host."""
         network = Network()
         network.add_hosts(4)
-        injector = FailureInjector(network)
         with network.rounds():
             before = network.post(0, 1)
             network.run_round()
-            injector.fail([1])
+            inject_host_faults(network, [1])
             doomed = network.post(0, 1)
             unaffected = network.post(2, 3)
             report = network.run_round()
@@ -462,7 +444,7 @@ class TestFailureInjector:
         unaffected.result()
         assert report.dropped == 1
         assert (report.delivered, report.max_load, report.max_load_host) == (1, 1, 3)
-        injector.recover_all()
+        network.recover_host(1)
         with network.rounds():
             recovered = network.post(0, 1)
             network.run_round()

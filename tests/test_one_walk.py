@@ -212,10 +212,6 @@ class TestFallbacks:
         cluster.network.fail_host(cluster.executor.alive_origins()[-1])
         assert self._scheduled_rounds(cluster, [("search", self.QUERY)], monkeypatch) > 0
 
-    def test_route_cache(self, monkeypatch):
-        cluster = Cluster("skipweb1d", self.KEYS, seed=11, route_cache=True)
-        assert self._scheduled_rounds(cluster, [("search", self.QUERY)], monkeypatch) > 0
-
     def test_round_budget(self, monkeypatch):
         cluster = Cluster("skipweb1d", self.KEYS, seed=11, round_budget=1_000)
         assert self._scheduled_rounds(cluster, [("search", self.QUERY)], monkeypatch) > 0
@@ -342,16 +338,14 @@ class TestLoneWalkSemantics:
         assert walked == run(lambda report: None)
         assert walked[0] == expected
 
-    def test_updates_clear_the_route_cache_and_commit(self):
+    def test_updates_commit(self):
         cluster = Cluster("skipweb1d", self.KEYS, seed=11)
         committed = []
         executor = BatchExecutor(
             cluster.structure, on_commit=lambda ops, result: committed.append(ops)
         )
-        executor._cache[("stale", None)] = object()
         result = executor.run([Operation("insert", 1.5)])
         assert result.outcomes[0].ok
-        assert executor._cache == {}
         assert committed == [(Operation("insert", 1.5),)]
 
     def test_max_rounds_bounds_the_walk_like_the_scheduler(self):

@@ -853,7 +853,6 @@ class TestFlatTopologyIdentity:
             assert left.messages == right.messages
             assert left.rounds == right.rounds
             assert left.retries == right.retries
-            assert left.cache_hits == right.cache_hits
             assert left.value == right.value
             # The weighted dimension: absent by default, messages×1 flat.
             assert left.latency == 0
@@ -904,7 +903,6 @@ def _handle_fields(report):
             handle.messages,
             handle.rounds,
             handle.retries,
-            handle.cache_hits,
             handle.latency,
             handle.value,
             type(handle.error),

@@ -189,6 +189,17 @@ class TestClusters:
         code, _, _ = call(app, "GET", "/clusters/w")
         assert code == 404
 
+    @pytest.mark.parametrize("mode", ["immediate", "batched"])
+    def test_retired_mode_key_is_an_unknown_spec_key(self, app, mode):
+        spec = {"name": "m", "items": [1.0, 2.0], "mode": mode}
+        code, body, _ = call(app, "POST", "/clusters", body=spec)
+        assert (code, body["error"]) == (400, "ValueError")
+        assert body["message"].startswith("unknown cluster spec key(s) ['mode']")
+        code, _, _ = call(app, "GET", "/clusters/m")
+        assert code == 404
+        code, body, _ = call(app, "GET", "/clusters/default")
+        assert code == 200 and "mode" not in body
+
     def test_duplicate_name_is_rejected(self, app):
         code, body, _ = call(app, "POST", "/clusters", body={"name": "default", "items": [1.0]})
         assert code == 400 and "already exists" in body["message"]
@@ -494,10 +505,10 @@ class TestWireFormats:
             "messages",
             "rounds",
             "retries",
-            "cache_hits",
             "latency",
             "value",
         }
+        assert "cache_hits" not in body
 
     def test_to_dict_round_trips_without_server(self):
         cluster = Cluster(items=list(KEYS), seed=7)

@@ -17,10 +17,12 @@ from dataclasses import fields
 
 import pytest
 
-from repro.api import Cluster, available_structures
+from repro.api import Cluster, FaultPlan, available_structures
 from repro.core.skipweb import SkipWebRecord
-from repro.errors import StorageError
-from repro.net.message import MessageLog
+from repro.engine import BatchExecutor, run_immediate
+from repro.errors import FaultInjectedError, ReproError, StorageError
+from repro.net.faults import drop
+from repro.net.message import MessageKind, MessageLog
 from repro.net.network import Network, RoundReport
 from repro.onedim import SkipWeb1D
 from repro.spatial import HyperCube
@@ -196,6 +198,193 @@ class TestRetiredConfigKeys:
     @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
     def test_trace_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot, trace):
         self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"trace": trace})
+
+    @pytest.mark.parametrize("mode", ["immediate", "batched"])
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
+    def test_mode_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot, mode):
+        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"mode": mode})
+
+
+#: Message kind the retired immediate path charged per operation kind.
+_LEGACY_KIND = {
+    "search": MessageKind.QUERY,
+    "range": MessageKind.QUERY,
+    "insert": MessageKind.UPDATE,
+    "delete": MessageKind.UPDATE,
+}
+
+
+class TestRetiredImmediateMode:
+    """Journals of the retired ``Cluster(mode="immediate")`` still recover.
+
+    That mode ran each single operation as a structure-level walk
+    (``run_immediate``, with a fault plan deciding every send as it
+    happened and a drop restarting the walk at once) and journaled it as
+    a ``single`` record.  Recovery now replays those records as one-op
+    batches.  The live run is rebuilt here the way the retired mode ran
+    it, so the recovered state can be compared against it; where the two
+    paths could diverge, recovery must refuse the store up front.
+    """
+
+    @staticmethod
+    def _legacy_single(cluster, kind, payload):
+        origin = cluster.executor.alive_origins()[0]
+        steps = getattr(cluster.structure, f"{kind}_steps")
+        retries = 0
+        while True:
+            try:
+                run_immediate(
+                    cluster.network, steps(payload, origin), origin, kind=_LEGACY_KIND[kind]
+                )
+            except FaultInjectedError:
+                if retries < cluster._max_retries:
+                    retries += 1
+                    continue
+            except ReproError:
+                pass
+            break
+        cluster._durability.record_action(
+            "single", {"kind": kind, "payload": payload, "origin_host": None}
+        )
+
+    @staticmethod
+    def _singles(count=40, ranges=False, seed=5):
+        rng = random.Random(seed)
+        keys = list(KEYS)
+        kinds = ["search", "search", "insert", "delete"] + (["range"] if ranges else [])
+        operations = []
+        for _ in range(count):
+            kind = rng.choice(kinds)
+            if kind == "delete":
+                payload = keys.pop(rng.randrange(len(keys)))
+            elif kind == "range":
+                low = rng.uniform(0.0, 1_000_000.0)
+                payload = (low, low + 300_000.0)
+            else:
+                payload = rng.uniform(0.0, 1_000_000.0)
+                if kind == "insert":
+                    keys.append(payload)
+            operations.append((kind, payload))
+        return operations
+
+    @classmethod
+    def _legacy_store(cls, tmp_path, monkeypatch, singles, save_at=None, **kwargs):
+        """Write a retired-mode store; return it with the live state.
+
+        ``save_at`` snapshots the cluster after that many singles.
+        """
+        store = str(tmp_path / "legacy.jsonl")
+        create = Cluster._create_payload
+        monkeypatch.setattr(
+            Cluster,
+            "_create_payload",
+            lambda self, items: {**create(self, items), "mode": "immediate"},
+        )
+        cluster = Cluster(structure="skipweb1d", items=KEYS, seed=3, storage=store, **kwargs)
+        monkeypatch.undo()
+        for index, (kind, payload) in enumerate(singles):
+            if index == save_at:
+                cluster.save()
+            cls._legacy_single(cluster, kind, payload)
+        if save_at == len(singles):
+            cluster.save()
+        cluster.batch([("search", float(i) * 37_000.0) for i in range(8)])
+        log = cluster.network.message_log
+        live = (
+            content_digest(cluster.structure),
+            cluster.stats().as_dict(),
+            (log.dropped, log.duplicated, log.delayed),
+        )
+        cluster.close()
+        return store, live
+
+    @staticmethod
+    def _recovered(store):
+        recovered = Cluster.recover(store)
+        log = recovered.network.message_log
+        state = (
+            content_digest(recovered.structure),
+            recovered.stats().as_dict(),
+            (log.dropped, log.duplicated, log.delayed),
+        )
+        return recovered, state
+
+    @pytest.mark.parametrize("faults", [None, "lossy", "flaky"])
+    def test_singles_recover_to_the_live_state(self, tmp_path, monkeypatch, faults):
+        store, live = self._legacy_store(tmp_path, monkeypatch, self._singles(), faults=faults)
+        backend = open_storage(store)
+        kinds = [record.kind for record in backend.records()]
+        backend.close()
+        assert kinds.count("single") == 40 and kinds.count("batch") == 1
+        if faults is not None:
+            assert any(live[2]), "the fault plan never fired"
+        recovered, state = self._recovered(store)
+        assert state == live
+        recovered.close()
+
+    def test_range_singles_recover_without_a_fault_plan(self, tmp_path, monkeypatch):
+        singles = self._singles(ranges=True)
+        assert any(kind == "range" for kind, _ in singles)
+        store, live = self._legacy_store(tmp_path, monkeypatch, singles)
+        recovered, state = self._recovered(store)
+        assert state == live
+        recovered.close()
+
+    def test_a_single_record_replays_as_a_one_op_batch(self, tmp_path, monkeypatch):
+        store, live = self._legacy_store(tmp_path, monkeypatch, self._singles(count=6))
+        sizes = []
+        run = BatchExecutor.run
+        monkeypatch.setattr(
+            BatchExecutor, "run", lambda self, ops: sizes.append(len(ops)) or run(self, ops)
+        )
+        recovered, state = self._recovered(store)
+        monkeypatch.undo()
+        assert state == live
+        assert sizes == [1] * 6 + [8]
+        # Singles after recovery are journaled as batches, never as singles.
+        assert recovered.get(KEYS[1]).ok
+        recovered.close()
+        backend = open_storage(store)
+        last = backend.records()[-1]
+        backend.close()
+        assert last.kind == "batch"
+        assert last.payload == {"operations": [("search", KEYS[1], None)]}
+
+    @pytest.mark.parametrize(
+        "kwargs, ranges, reason",
+        [
+            (dict(faults="blackout"), False, "a fault plan that reads the round clock"),
+            (
+                dict(faults=FaultPlan([drop(0.1, window=(0, 400))], seed=3)),
+                False,
+                "a fault plan that reads the round clock",
+            ),
+            (dict(round_budget=1_000), False, "a round budget"),
+            (dict(faults="lossy"), True, "range singles under a fault plan"),
+        ],
+        ids=["blackout", "window", "round-budget", "lossy-ranges"],
+    )
+    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
+    def test_stores_that_could_diverge_are_refused(
+        self, tmp_path, monkeypatch, kwargs, ranges, reason, from_snapshot
+    ):
+        # A snapshot taken before the singles leaves them in the replayed tail.
+        store, _live = self._legacy_store(
+            tmp_path, monkeypatch, self._singles(ranges=ranges), save_at=0, **kwargs
+        )
+        with pytest.raises(StorageError, match=f"retired mode 'immediate' with {reason}"):
+            Cluster.recover(store, from_snapshot=from_snapshot)
+
+    def test_a_snapshot_past_the_singles_recovers(self, tmp_path, monkeypatch):
+        singles = self._singles()
+        store, live = self._legacy_store(
+            tmp_path, monkeypatch, singles, save_at=len(singles), faults="blackout"
+        )
+        with pytest.raises(StorageError, match="retired mode 'immediate'"):
+            Cluster.recover(store, from_snapshot=False)
+        recovered, state = self._recovered(store)
+        assert state == live
+        recovered.close()
 
 
 class TestSaveAndLoad:
@@ -602,16 +791,6 @@ class TestGuards:
                 seed=3,
                 storage=str(tmp_path / "log.jsonl"),
                 churn_rng=random.Random(0),
-            )
-
-    def test_storage_refuses_route_cache(self, tmp_path):
-        with pytest.raises(StorageError, match="route_cache"):
-            Cluster(
-                structure="skipweb1d",
-                items=KEYS,
-                seed=3,
-                storage=str(tmp_path / "log.jsonl"),
-                route_cache=True,
             )
 
     def test_configure_churn_refuses_rng_override(self, tmp_path):
