@@ -45,7 +45,7 @@ from repro.api.results import (
 )
 from repro.engine.executor import BatchExecutor, Operation
 from repro.engine.repair import RepairEngine, RepairResult
-from repro.errors import StorageError, StructureError
+from repro.errors import StorageError, StructureError, UnsupportedOperationError
 from repro.net.churn import ChurnController, ChurnEvent
 from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.faults import FaultPlan, faults_from_config, resolve_faults
@@ -716,7 +716,9 @@ class Cluster:
         so ``churn_events`` — the measured history of a run — stays
         readable after the context manager exits.  A journaled cluster's
         storage is flushed to stable storage and its handles released
-        (the store stays reopenable).
+        (the store stays reopenable), and its journal stops listening to
+        the network: membership changes after ``close()`` are not the
+        closed run's history.
         """
         with self._close_lock:
             if self._closed:
@@ -724,6 +726,10 @@ class Cluster:
             self._closed = True
             self._executor = None
             if self._durability is not None:
+                if self._structure is not None:
+                    self._structure.network.remove_membership_listener(
+                        self._durability.membership_listener
+                    )
                 self._durability.backend.close()
 
     def _check_open(self) -> None:
@@ -979,12 +985,9 @@ class Cluster:
     # ------------------------------------------------------------------ #
     def _ground_set_size(self) -> int | None:
         structure = self._structure
-        for candidate in (structure, getattr(structure, "web", None)):
-            if candidate is None:
-                continue
-            size = getattr(candidate, "ground_set_size", None)
-            if size is not None:
-                return size
+        size = getattr(structure, "ground_set_size", None)
+        if size is not None:
+            return size
         keys = getattr(structure, "keys", None)
         return len(keys) if keys is not None else None
 
@@ -1015,10 +1018,12 @@ class Cluster:
 
     def congestion(self) -> Any:
         """The structure-level congestion report ``C(n)`` of §1.1."""
-        structure = self.structure
-        if hasattr(structure, "congestion"):
-            return structure.congestion()
-        return structure.web.congestion()
+        congestion = getattr(self.structure, "congestion", None)
+        if congestion is None:
+            raise UnsupportedOperationError(
+                f"structure {self.spec.name!r} has no congestion report"
+            )
+        return congestion()
 
     def round_congestion(self) -> RoundCongestionReport:
         """Whole-session per-round congestion aggregates (PR-4 ledger)."""

@@ -11,8 +11,8 @@ To keep the eight baselines small and uniform they share this pattern:
   simulator knows everything), but *stored* on the hosts through the
   network's slot store, so per-host memory ``M`` is measured rather than
   asserted;
-* searches run exclusively over the stored tables via
-  :class:`repro.net.rpc.Traversal`, so query messages ``Q(n)`` are counted
+* searches run exclusively over the stored tables as step generators
+  (:mod:`repro.engine.steps`), so query messages ``Q(n)`` are counted
   exactly;
 * updates recompute the affected tables and charge one message per host
   whose stored table actually changed (plus the search that locates the

@@ -295,10 +295,10 @@ def fig2_skipweb_levels(n: int = 256, queries: int = 60, seed: int = 0) -> list[
         result = web.nearest(rng.uniform(0, 1_000_000))
         for depth, messages in enumerate(result.per_level_messages):
             per_level_messages.setdefault(depth, []).append(messages)
-    for level in range(web.web.height, -1, -1):
-        prefixes = web.web.level_prefixes(level)
-        sizes = [len(web.web.level_structure(level, prefix).items) for prefix in prefixes]
-        descent_index = web.web.height - level
+    for level in range(web.height, -1, -1):
+        prefixes = web.level_prefixes(level)
+        sizes = [len(web.level_structure(level, prefix).items) for prefix in prefixes]
+        descent_index = web.height - level
         messages = per_level_messages.get(descent_index, [0])
         rows.append(
             {

@@ -179,6 +179,10 @@ class SkipWebConfig:
 class SkipWeb:
     """A distributed skip-web over an arbitrary range-determined link structure.
 
+    The four instantiations (``SkipWeb1D``, ``SkipQuadtreeWeb``,
+    ``SkipTrieWeb``, ``SkipTrapezoidWeb``) are subclasses that fix the
+    link structure, override the ``_coerce_*`` hooks and add domain names.
+
     Parameters
     ----------
     structure_cls:
@@ -258,28 +262,32 @@ class SkipWeb:
         self._build()
 
     @classmethod
-    def build_from_sorted(
-        cls,
-        structure_cls: Type[RangeDeterminedLinkStructure],
-        items: Sequence[Any],
-        network: Network | None = None,
-        config: SkipWebConfig | None = None,
-    ) -> "SkipWeb":
-        """Bulk-load constructor over pre-sorted, deduplicated ``items``.
+    def build_from_sorted(cls, *args: Any, **kwargs: Any) -> "SkipWeb":
+        """Bulk-load constructor over pre-sorted, deduplicated items.
 
-        Semantically identical to the ordinary constructor — membership
-        words are drawn in item order either way, so queries and updates
-        cost exactly the same afterwards — but built for benchmark setup:
-        the level structures detect the pre-sorted input and skip their
-        defensive O(n log n) sorts, and every record placed on a host
-        other than the coordinator is charged one
+        Takes the constructor's arguments.  Semantically identical to the
+        ordinary constructor — membership words are drawn in item order
+        either way, so queries and updates cost exactly the same
+        afterwards — but built for benchmark setup: the level structures
+        detect the pre-sorted input and skip their defensive O(n log n)
+        sorts, and every record placed on a host other than the
+        coordinator is charged one
         :attr:`~repro.net.message.MessageKind.CONSTRUCTION` ledger
         message (``construction_messages`` records the total), so
         bulk-load traffic is measurable instead of silently free.
         """
-        web = cls(structure_cls, items, network=network, config=config)
+        web = cls(*args, **kwargs)
         web.construction_messages = web._charge_construction()
         return web
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A snapshot pickled while the four instantiations wrapped a
+        # generic skip-web holds that skip-web under ``"web"``, next to
+        # the domain attributes (bounding cube, alphabet, box).
+        wrapped = state.pop("web", None)
+        if wrapped is not None:
+            state = {**wrapped.__dict__, **state}
+        self.__dict__.update(state)
 
     def _charge_construction(self) -> int:
         """Bill one CONSTRUCTION message per remotely placed record."""
@@ -578,17 +586,25 @@ class SkipWeb:
     # ------------------------------------------------------------------ #
     # queries and updates
     # ------------------------------------------------------------------ #
+    # The four instantiations normalise domain values (floats, points,
+    # strings, planar points and ranges over them) before every
+    # operation; the generic skip-web takes them as given.
+    def _coerce_query(self, query: Any) -> Any:
+        return query
+
+    def _coerce_item(self, item: Any) -> Any:
+        return item
+
+    def _coerce_range(self, query_range: Any) -> Any:
+        return query_range
+
     def query(self, query: Any, origin_host: HostId | None = None) -> QueryResult:
         """Answer ``query``, counting messages; see :mod:`repro.core.query`."""
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return execute_query(self, query, origin_host)
+        return execute_query(self, self._coerce_query(query), origin_host)
 
-    def query_from_item(self, query: Any, origin_item: Any) -> QueryResult:
-        """Answer ``query`` starting from the host that owns ``origin_item``."""
-        return self.query(query, origin_host=self._owners[origin_item])
-
-    def range_query(
+    def range_report(
         self,
         query_range: Any,
         origin_host: HostId | None = None,
@@ -597,7 +613,9 @@ class SkipWeb:
         """Output-sensitive range reporting; see :mod:`repro.core.range_query`."""
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return execute_range_query(self, query_range, origin_host, fan_out=fan_out)
+        return execute_range_query(
+            self, self._coerce_range(query_range), origin_host, fan_out=fan_out
+        )
 
     def insert(self, item: Any, origin_host: HostId | None = None):
         """Insert a new ground-set item (§4); returns an ``UpdateResult``."""
@@ -605,7 +623,7 @@ class SkipWeb:
 
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return execute_insert(self, item, origin_host)
+        return execute_insert(self, self._coerce_item(item), origin_host)
 
     def delete(self, item: Any, origin_host: HostId | None = None):
         """Delete a ground-set item (§4); returns an ``UpdateResult``."""
@@ -613,7 +631,7 @@ class SkipWeb:
 
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return execute_delete(self, item, origin_host)
+        return execute_delete(self, self._coerce_item(item), origin_host)
 
     # ------------------------------------------------------------------ #
     # DistributedStructure protocol (batched execution; see repro.engine)
@@ -637,7 +655,7 @@ class SkipWeb:
         """The query descent as a resumable step generator."""
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return query_steps(self, query, origin_host)
+        return query_steps(self, self._coerce_query(query), origin_host)
 
     def range_steps(
         self,
@@ -648,7 +666,9 @@ class SkipWeb:
         """The range query (locate, then forked report) as a step generator."""
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return range_query_steps(self, query_range, origin_host, fan_out=fan_out)
+        return range_query_steps(
+            self, self._coerce_range(query_range), origin_host, fan_out=fan_out
+        )
 
     def insert_steps(self, item: Any, origin_host: HostId | None = None):
         """Insertion as a resumable step generator (§4)."""
@@ -656,7 +676,7 @@ class SkipWeb:
 
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return insert_steps(self, item, origin_host)
+        return insert_steps(self, self._coerce_item(item), origin_host)
 
     def delete_steps(self, item: Any, origin_host: HostId | None = None):
         """Deletion as a resumable step generator (§4)."""
@@ -664,7 +684,7 @@ class SkipWeb:
 
         if origin_host is None:
             origin_host = self._host_ids[0]
-        return delete_steps(self, item, origin_host)
+        return delete_steps(self, self._coerce_item(item), origin_host)
 
     # ------------------------------------------------------------------ #
     # churn: migration and self-repair (see repro.engine.repair)
@@ -933,96 +953,3 @@ class SkipWeb:
             f"hosts={self.host_count}, levels={self.height + 1}, "
             f"records={self.record_count()})"
         )
-
-
-class SkipWebStructureAdapter:
-    """Mixin giving a domain wrapper the ``DistributedStructure`` protocol.
-
-    The four instantiations (``SkipWeb1D``, ``SkipQuadtreeWeb``,
-    ``SkipTrieWeb``, ``SkipTrapezoidWeb``) each hold a generic
-    :class:`SkipWeb` in ``self.web`` and merely coerce domain values
-    (floats, points, strings, planar points) before delegating.  This
-    mixin forwards the step-generator protocol the same way, so every
-    wrapper runs under :class:`repro.engine.executor.BatchExecutor`
-    without further code.
-    """
-
-    web: SkipWeb
-
-    @classmethod
-    def build_from_sorted(cls, items: Sequence[Any], **kwargs: Any):
-        """Bulk-load constructor: ``items`` pre-sorted and deduplicated.
-
-        Builds the wrapper normally (the level structures detect sorted
-        input and skip their defensive sorts), then charges one
-        CONSTRUCTION ledger message per remotely placed record — see
-        :meth:`SkipWeb.build_from_sorted`.  ``kwargs`` pass through to
-        the wrapper's constructor.
-        """
-        structure = cls(items, **kwargs)
-        structure.web.construction_messages = structure.web._charge_construction()
-        return structure
-
-    @property
-    def construction_messages(self) -> int:
-        """CONSTRUCTION messages charged by a bulk-load build (0 otherwise)."""
-        return self.web.construction_messages
-
-    def _coerce_query(self, query: Any) -> Any:
-        """Normalise a domain query before handing it to the skip-web."""
-        return query
-
-    def _coerce_item(self, item: Any) -> Any:
-        """Normalise a domain item before handing it to the skip-web."""
-        return item
-
-    def _coerce_range(self, query_range: Any) -> Any:
-        """Normalise a domain range before handing it to the skip-web."""
-        return query_range
-
-    def origin_hosts(self) -> tuple[HostId, ...]:
-        return self.web.origin_hosts()
-
-    def seed_roots(self, origin_host: HostId):
-        return self.web.seed_roots(origin_host)
-
-    def search_steps(self, query: Any, origin_host: HostId | None = None):
-        return self.web.search_steps(self._coerce_query(query), origin_host)
-
-    def range_steps(
-        self,
-        query_range: Any,
-        origin_host: HostId | None = None,
-        fan_out: int = DEFAULT_FAN_OUT,
-    ):
-        return self.web.range_steps(
-            self._coerce_range(query_range), origin_host, fan_out=fan_out
-        )
-
-    def range_report(
-        self,
-        query_range: Any,
-        origin_host: HostId | None = None,
-        fan_out: int = DEFAULT_FAN_OUT,
-    ) -> RangeQueryResult:
-        """Immediate-mode range reporting with the domain's range coercion."""
-        return self.web.range_query(
-            self._coerce_range(query_range), origin_host=origin_host, fan_out=fan_out
-        )
-
-    def insert_steps(self, item: Any, origin_host: HostId | None = None):
-        return self.web.insert_steps(self._coerce_item(item), origin_host)
-
-    def delete_steps(self, item: Any, origin_host: HostId | None = None):
-        return self.web.delete_steps(self._coerce_item(item), origin_host)
-
-    def migrate_host(
-        self,
-        host_id: HostId,
-        targets: Sequence[HostId] | None = None,
-        fraction: float = 1.0,
-    ):
-        return self.web.migrate_host(host_id, targets=targets, fraction=fraction)
-
-    def repair(self, host_ids: Sequence[HostId]):
-        return self.web.repair(host_ids)

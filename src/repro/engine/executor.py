@@ -63,11 +63,7 @@ from repro.errors import (
     ReproError,
     StructureError,
 )
-from repro.net.congestion import (
-    RoundCongestionReport,
-    round_congestion_report,
-    summarize_round_reports,
-)
+from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.message import MessageKind
 from repro.net.naming import HostId
 from repro.net.network import PendingDelivery, RoundReport
@@ -148,8 +144,8 @@ class BatchResult:
     outcomes: list[OpOutcome]
     rounds: int
     messages: int
+    congestion_summary: RoundCongestionReport
     round_reports: list[RoundReport] = field(default_factory=list)
-    congestion_summary: RoundCongestionReport | None = None
     latency: int = 0
 
     @property
@@ -181,15 +177,11 @@ class BatchResult:
     @property
     def max_round_congestion(self) -> int:
         """Worst per-host per-round delivery count observed during the batch."""
-        if self.congestion_summary is not None:
-            return self.congestion_summary.max_host_round_load
-        return max((report.max_host_load for report in self.round_reports), default=0)
+        return self.congestion_summary.max_host_round_load
 
     def round_congestion(self) -> RoundCongestionReport:
         """Full round-level congestion summary of the batch."""
-        if self.congestion_summary is not None:
-            return self.congestion_summary
-        return summarize_round_reports(self.round_reports)
+        return self.congestion_summary
 
     def summary(self) -> dict[str, Any]:
         """One benchmark-table row worth of aggregate numbers."""

@@ -1,7 +1,8 @@
 """The ``DistributedStructure`` protocol: one executor for every structure.
 
-Skip-webs, their four instantiations, and the Table 1 baselines all
-search and update by walking pointers over the simulated network.  The
+Skip-webs (the generic ``SkipWeb`` and its four domain subclasses), the
+bucket skip-web and the Table 1 baselines all search and update by
+walking pointers over the simulated network.  The
 protocol below captures that common shape as *step generators* (see
 :mod:`repro.engine.steps`): a structure exposes its operations as
 resumable generators and in exchange runs unmodified under both the

@@ -13,8 +13,6 @@ single-process simulator:
 * :class:`~repro.net.network.Network` — the host registry and the message
   accounting boundary.  Every remote pointer dereference costs one message;
   local dereferences are free, matching the paper's cost model.
-* :class:`~repro.net.rpc.Traversal` — a cursor that walks a distributed
-  structure, automatically charging messages when it crosses hosts.
 * :class:`~repro.net.congestion.CongestionReport` — the congestion measure
   ``C(n)`` of §1.1.
 * :mod:`repro.net.churn` — live membership change: hosts joining,
@@ -44,13 +42,11 @@ from repro.net.topology import (
     resolve_topology,
     topology_from_config,
 )
-from repro.net.rpc import Traversal, RemoteRef
 from repro.net.congestion import (
     CongestionReport,
     RoundCongestionReport,
     congestion_report,
     round_congestion_report,
-    summarize_round_reports,
 )
 from repro.net.faults import (
     FAULT_NAMES,
@@ -83,13 +79,10 @@ __all__ = [
     "TOPOLOGY_NAMES",
     "resolve_topology",
     "topology_from_config",
-    "Traversal",
-    "RemoteRef",
     "CongestionReport",
     "RoundCongestionReport",
     "congestion_report",
     "round_congestion_report",
-    "summarize_round_reports",
     "FaultPlan",
     "FaultRule",
     "FAULT_NAMES",

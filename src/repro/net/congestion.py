@@ -169,65 +169,6 @@ class RoundCongestionReport:
         return summary
 
 
-def summarize_round_reports(reports) -> RoundCongestionReport:
-    """Fold a sequence of :class:`~repro.net.network.RoundReport` into one summary.
-
-    A single pass over the reports: every report already carries its own
-    per-round maximum (``max_load`` / ``max_load_host``, computed when the
-    round closed), so no per-host dictionaries are re-scanned here.
-    """
-    per_round_max: list[int] = []
-    busiest_host: HostId | None = None
-    busiest_round: int | None = None
-    best = 0
-    total = 0
-    count = 0
-    aware = False
-    total_weight = 0
-    per_round_max_link: list[int] = []
-    per_round_max_cluster: list[int] = []
-    busiest_link: tuple[HostId, HostId] | None = None
-    busiest_cluster: int | None = None
-    best_link = 0
-    best_cluster = 0
-    for report in reports:
-        count += 1
-        load = report.max_load
-        per_round_max.append(load)
-        total += report.delivered
-        if load > best:
-            best = load
-            busiest_host = report.max_load_host
-            busiest_round = report.index
-        # Rounds recorded under an explicit topology carry the weighted
-        # per-link / per-cluster maxima; flat-default rounds keep the
-        # zero defaults and leave the weighted summary empty.
-        if report.weight or report.max_link is not None:
-            aware = True
-        total_weight += report.weight
-        per_round_max_link.append(report.max_link_load)
-        per_round_max_cluster.append(report.max_cluster_load)
-        if report.max_link_load > best_link:
-            best_link = report.max_link_load
-            busiest_link = report.max_link
-        if report.max_cluster_load > best_cluster:
-            best_cluster = report.max_cluster_load
-            busiest_cluster = report.max_cluster
-    return RoundCongestionReport(
-        rounds=count,
-        total_messages=total,
-        per_round_max=tuple(per_round_max),
-        busiest_host=busiest_host,
-        busiest_round=busiest_round,
-        total_weight=total_weight if aware else 0,
-        per_round_max_link=tuple(per_round_max_link) if aware else (),
-        per_round_max_cluster=tuple(per_round_max_cluster) if aware else (),
-        busiest_link=busiest_link,
-        busiest_cluster=busiest_cluster,
-        topology_aware=aware,
-    )
-
-
 def round_congestion_report(network) -> RoundCongestionReport:
     """Summarise the per-host per-round deliveries of the last round session.
 

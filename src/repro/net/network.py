@@ -6,9 +6,9 @@ Structures never talk to each other directly; they
 * create hosts via :meth:`Network.add_host` / :meth:`Network.add_hosts`,
 * store items on hosts and obtain :class:`~repro.net.naming.Address`
   pointers,
-* dereference remote pointers via :meth:`Network.send` (or, more
-  conveniently, via :class:`repro.net.rpc.Traversal`), which charges one
-  message per host crossing.
+* dereference remote pointers by yielding step-generator effects
+  (:mod:`repro.engine.steps`), whose drivers charge one message per host
+  crossing through :meth:`Network.send` or the round-based delivery.
 
 Message counting for a single logical operation (one query, one insert)
 is done with :meth:`Network.measure`, a context manager that snapshots
@@ -470,8 +470,8 @@ class Network:
         """Dereference ``address`` *without* charging a message.
 
         Structures must only call this for local dereferences, or after
-        having charged the hop via :meth:`send` /
-        :class:`~repro.net.rpc.Traversal`.  ``check_alive=False`` skips
+        having charged the hop through a step driver
+        (:mod:`repro.engine.steps`).  ``check_alive=False`` skips
         the failure-injection liveness check; it is reserved for
         structural bookkeeping that must apply atomically (update
         propagation, reference recounts) and must therefore not be

@@ -45,7 +45,7 @@ from repro.core.range_query import (
     partition_walks,
 )
 from repro.core.ranges import Interval, coerce_interval, interval_anchor
-from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
+from repro.core.skipweb import SkipWeb, SkipWebConfig
 from repro.core.update import UpdateResult
 from repro.engine.repair import MigrationSummary
 from repro.engine.steps import StepCursor, StepGenerator, local_steps, run_immediate
@@ -57,12 +57,12 @@ from repro.net.network import Network
 from repro.onedim.linked_list import SortedListStructure
 
 
-class SkipWeb1D(SkipWebStructureAdapter):
+class SkipWeb1D(SkipWeb):
     """A skip-web over sorted numeric keys (arbitrary blocking, §2.4).
 
-    This is a thin convenience wrapper around the generic
-    :class:`repro.core.skipweb.SkipWeb` that fixes the link structure to
-    :class:`SortedListStructure` and exposes one-dimensional query names.
+    The generic :class:`repro.core.skipweb.SkipWeb` with the link
+    structure fixed to :class:`SortedListStructure`, keys coerced to
+    floats and one-dimensional query names.
     """
 
     def _coerce_query(self, query: Any) -> float:
@@ -86,17 +86,16 @@ class SkipWeb1D(SkipWebStructureAdapter):
         config = SkipWebConfig(
             host_count=host_count, blocking=blocking, seed=seed, height=height
         )
-        self.web = SkipWeb(
+        super().__init__(
             SortedListStructure,
             [float(key) for key in keys],
             network=network,
             config=config,
         )
 
-    # -- queries -------------------------------------------------------- #
     def nearest(self, query: float, origin_host: HostId | None = None) -> QueryResult:
         """One-dimensional nearest-neighbour query (≡ point location in ``D(S)``)."""
-        return self.web.query(float(query), origin_host=origin_host)
+        return self.query(query, origin_host=origin_host)
 
     def contains(self, key: float, origin_host: HostId | None = None) -> bool:
         """Exact-membership query."""
@@ -109,34 +108,12 @@ class SkipWeb1D(SkipWebStructureAdapter):
         """All stored keys in ``[low, high]``: O(log n + k) expected messages."""
         return self.range_report((low, high), origin_host=origin_host)
 
-    # -- updates -------------------------------------------------------- #
-    def insert(self, key: float, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.insert(float(key), origin_host=origin_host)
-
-    def delete(self, key: float, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.delete(float(key), origin_host=origin_host)
-
-    # -- accounting ------------------------------------------------------ #
-    @property
-    def network(self) -> Network:
-        return self.web.network
-
     @property
     def keys(self) -> list[float]:
-        return sorted(self.web.items)
-
-    @property
-    def host_count(self) -> int:
-        return self.web.host_count
-
-    def max_memory_per_host(self) -> int:
-        return self.web.max_memory_per_host()
-
-    def congestion(self) -> CongestionReport:
-        return self.web.congestion()
+        return sorted(self.items)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SkipWeb1D(n={len(self.web.items)}, hosts={self.host_count})"
+        return f"SkipWeb1D(n={self.ground_set_size}, hosts={self.host_count})"
 
 
 @dataclass(frozen=True)

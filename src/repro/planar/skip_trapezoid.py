@@ -21,10 +21,8 @@ from typing import Any, Hashable, Iterable, Sequence
 from repro.core.link_structure import RangeDeterminedLinkStructure, RangeUnit, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
-from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
-from repro.core.update import UpdateResult
+from repro.core.skipweb import SkipWeb, SkipWebConfig
 from repro.errors import QueryError, StructureError
-from repro.net.congestion import CongestionReport
 from repro.net.naming import HostId
 from repro.net.network import Network
 from repro.planar.segments import PlanarPoint, Segment, bounding_box
@@ -390,15 +388,12 @@ class TrapezoidalMapStructure(RangeDeterminedLinkStructure):
         )
 
 
-class SkipTrapezoidWeb(SkipWebStructureAdapter):
+class SkipTrapezoidWeb(SkipWeb):
     """A distributed skip-web for planar point location.
 
     ``n`` non-crossing segments are spread over the hosts of a simulated
     network; locating the trapezoid containing an arbitrary query point
     costs ``O(log n)`` expected messages (Theorem 2 via Lemma 5).
-    Implements the :class:`repro.engine.protocol.DistributedStructure`
-    protocol through the adapter mixin, so it runs under the batched
-    round-based executor as well.
     """
 
     def _coerce_query(self, query: Any) -> tuple[float, float]:
@@ -430,14 +425,11 @@ class SkipTrapezoidWeb(SkipWebStructureAdapter):
             seed=seed,
             structure_params={"box": box},
         )
-        self.web = SkipWeb(
-            TrapezoidalMapStructure, segment_list, network=network, config=config
-        )
+        super().__init__(TrapezoidalMapStructure, segment_list, network=network, config=config)
 
-    # -- queries -------------------------------------------------------- #
     def locate(self, point: PlanarPoint, origin_host: HostId | None = None) -> QueryResult:
         """Planar point location: the trapezoid containing ``point``."""
-        return self.web.query((float(point[0]), float(point[1])), origin_host=origin_host)
+        return self.query(point, origin_host=origin_host)
 
     def window_report(self, window: Any, origin_host: HostId | None = None):
         """Segment-stabbing window reporting: the faces overlapping ``window``.
@@ -464,36 +456,14 @@ class SkipTrapezoidWeb(SkipWebStructureAdapter):
                     segments.append(segment)
         return segments
 
-    # -- updates -------------------------------------------------------- #
-    def insert(self, segment: Segment, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.insert(segment, origin_host=origin_host)
-
-    def delete(self, segment: Segment, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.delete(segment, origin_host=origin_host)
-
-    # -- accounting ------------------------------------------------------ #
-    @property
-    def network(self) -> Network:
-        return self.web.network
-
     @property
     def segments(self) -> list[Segment]:
-        return list(self.web.items)
-
-    @property
-    def host_count(self) -> int:
-        return self.web.host_count
+        return self.items
 
     @property
     def level0_map(self) -> TrapezoidalMap:
-        structure: TrapezoidalMapStructure = self.web.level_structure(0, ())
+        structure: TrapezoidalMapStructure = self.level_structure(0, ())
         return structure.map
 
-    def max_memory_per_host(self) -> int:
-        return self.web.max_memory_per_host()
-
-    def congestion(self) -> CongestionReport:
-        return self.web.congestion()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SkipTrapezoidWeb(n={len(self.segments)}, hosts={self.host_count})"
+        return f"SkipTrapezoidWeb(n={self.ground_set_size}, hosts={self.host_count})"

@@ -21,11 +21,9 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 from repro.core.link_structure import OverlapView, RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
-from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
+from repro.core.skipweb import SkipWeb, SkipWebConfig
 from repro.core.tree_structure import TreeLinkStructure
-from repro.core.update import UpdateResult
 from repro.errors import QueryError, StructureError
-from repro.net.congestion import CongestionReport
 from repro.net.naming import HostId
 from repro.net.network import Network
 from repro.core.ranges import ranges_conflict
@@ -444,15 +442,12 @@ def descent_conflicts(
             return max(count, 1)
 
 
-class SkipQuadtreeWeb(SkipWebStructureAdapter):
+class SkipQuadtreeWeb(SkipWeb):
     """A distributed skip-web over a compressed quadtree / octree.
 
     Provides point location (and, through :mod:`repro.spatial.nearest`,
     approximate nearest-neighbour and range queries) over ``n`` points
     spread across ``n`` hosts with ``O(log n)`` expected messages.
-    Implements the :class:`repro.engine.protocol.DistributedStructure`
-    protocol through the adapter mixin, so it runs under the batched
-    round-based executor as well.
     """
 
     def _coerce_query(self, query: Any) -> Point:
@@ -487,47 +482,24 @@ class SkipQuadtreeWeb(SkipWebStructureAdapter):
             seed=seed,
             structure_params={"bounding_cube": bounding_cube},
         )
-        self.web = SkipWeb(QuadtreeStructure, normalized, network=network, config=config)
+        super().__init__(QuadtreeStructure, normalized, network=network, config=config)
 
-    # -- queries -------------------------------------------------------- #
     def locate(self, point: Point, origin_host: HostId | None = None) -> QueryResult:
         """Point location: the smallest quadtree cell containing ``point``."""
-        return self.web.query(as_point(point), origin_host=origin_host)
-
-    # -- updates -------------------------------------------------------- #
-    def insert(self, point: Point, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.insert(as_point(point), origin_host=origin_host)
-
-    def delete(self, point: Point, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.delete(as_point(point), origin_host=origin_host)
-
-    # -- accounting ------------------------------------------------------ #
-    @property
-    def network(self) -> Network:
-        return self.web.network
+        return self.query(point, origin_host=origin_host)
 
     @property
     def points(self) -> list[Point]:
-        return list(self.web.items)
-
-    @property
-    def host_count(self) -> int:
-        return self.web.host_count
+        return self.items
 
     @property
     def level0_tree(self) -> CompressedQuadtree:
         """The full (level-0) quadtree, used by the local query helpers."""
-        structure: QuadtreeStructure = self.web.level_structure(0, ())
+        structure: QuadtreeStructure = self.level_structure(0, ())
         return structure.tree
-
-    def max_memory_per_host(self) -> int:
-        return self.web.max_memory_per_host()
-
-    def congestion(self) -> CongestionReport:
-        return self.web.congestion()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SkipQuadtreeWeb(n={len(self.points)}, d={self.bounding_cube.dimension}, "
+            f"SkipQuadtreeWeb(n={self.ground_set_size}, d={self.bounding_cube.dimension}, "
             f"hosts={self.host_count})"
         )

@@ -36,14 +36,13 @@ def content_digest(structure: Any) -> str:
 
     Uses the same accessors the façade's stats path does: ``keys`` where
     the family exposes one (one-dimensional webs, graphs, DHTs), else
-    the underlying web's ``items`` (spatial, string and planar
-    families).  Reprs are hashed in sorted order so the digest is
-    independent of internal iteration order.
+    ``items`` (spatial, string and planar skip-webs).  Reprs are hashed
+    in sorted order so the digest is independent of internal iteration
+    order.
     """
     items = getattr(structure, "keys", None)
     if items is None:
-        web = getattr(structure, "web", structure)
-        items = getattr(web, "items", None)
+        items = getattr(structure, "items", None)
     if items is None:
         raise StorageError(
             f"{type(structure).__name__} exposes neither 'keys' nor "

@@ -25,10 +25,8 @@ from typing import Any, Hashable, Iterable, Sequence
 from repro.core.link_structure import RangeUnit, StructureDelta, UnitKind
 from repro.core.query import QueryResult
 from repro.core.ranges import Range
-from repro.core.skipweb import SkipWeb, SkipWebConfig, SkipWebStructureAdapter
+from repro.core.skipweb import SkipWeb, SkipWebConfig
 from repro.core.tree_structure import TreeChange, TreeLinkStructure
-from repro.core.update import UpdateResult
-from repro.net.congestion import CongestionReport
 from repro.net.naming import HostId
 from repro.net.network import Network
 from repro.strings.alphabet import Alphabet, LOWERCASE
@@ -348,14 +346,11 @@ class TrieStructure(TreeLinkStructure):
         )
 
 
-class SkipTrieWeb(SkipWebStructureAdapter):
+class SkipTrieWeb(SkipWeb):
     """A distributed skip-web over a compressed trie.
 
     Supports locating an arbitrary string (the deepest stored prefix that
     matches it) and prefix searches, with ``O(log n)`` expected messages.
-    Implements the :class:`repro.engine.protocol.DistributedStructure`
-    protocol through the adapter mixin, so it runs under the batched
-    round-based executor as well.
     """
 
     def _coerce_query(self, query: Any) -> str:
@@ -385,12 +380,11 @@ class SkipTrieWeb(SkipWebStructureAdapter):
             structure_params={"alphabet": alphabet},
         )
         self.alphabet = alphabet
-        self.web = SkipWeb(TrieStructure, list(strings), network=network, config=config)
+        super().__init__(TrieStructure, list(strings), network=network, config=config)
 
-    # -- queries -------------------------------------------------------- #
     def locate(self, text: str, origin_host: HostId | None = None) -> QueryResult:
         """Find the deepest stored prefix matching ``text``."""
-        return self.web.query(str(text), origin_host=origin_host)
+        return self.query(text, origin_host=origin_host)
 
     def contains(self, text: str, origin_host: HostId | None = None) -> bool:
         """Exact-membership query."""
@@ -409,39 +403,17 @@ class SkipTrieWeb(SkipWebStructureAdapter):
         matches = self.level0_trie.strings_with_prefix(str(prefix))
         return result, matches
 
-    # -- updates -------------------------------------------------------- #
-    def insert(self, text: str, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.insert(str(text), origin_host=origin_host)
-
-    def delete(self, text: str, origin_host: HostId | None = None) -> UpdateResult:
-        return self.web.delete(str(text), origin_host=origin_host)
-
-    # -- accounting ------------------------------------------------------ #
-    @property
-    def network(self) -> Network:
-        return self.web.network
-
     @property
     def strings(self) -> list[str]:
-        return sorted(self.web.items)
-
-    @property
-    def host_count(self) -> int:
-        return self.web.host_count
+        return sorted(self.items)
 
     @property
     def level0_trie(self) -> CompressedTrie:
-        structure: TrieStructure = self.web.level_structure(0, ())
+        structure: TrieStructure = self.level_structure(0, ())
         return structure.trie
-
-    def max_memory_per_host(self) -> int:
-        return self.web.max_memory_per_host()
-
-    def congestion(self) -> CongestionReport:
-        return self.web.congestion()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SkipTrieWeb(n={len(self.web.items)}, alphabet={self.alphabet.name}, "
+            f"SkipTrieWeb(n={self.ground_set_size}, alphabet={self.alphabet.name}, "
             f"hosts={self.host_count})"
         )

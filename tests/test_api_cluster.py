@@ -15,7 +15,7 @@ from repro.api import (
 )
 from repro.baselines import ChordDHT, DistributedOrderedStructure, SkipGraph
 from repro.engine import BatchExecutor, DistributedStructure
-from repro.errors import StructureError
+from repro.errors import StructureError, UnsupportedOperationError
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.planar import SkipTrapezoidWeb
 from repro.spatial import HyperCube, SkipQuadtreeWeb
@@ -276,6 +276,15 @@ class TestErrorTaxonomy:
         assert report.unsupported == 3 and report.completed == 1
         with pytest.raises(Exception):
             report[0].result()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_congestion_is_reported_or_refused_by_name(self, name):
+        cluster = _cluster(name)
+        if name == "chord":
+            with pytest.raises(UnsupportedOperationError, match="'chord'"):
+                cluster.congestion()
+            return
+        assert cluster.congestion().ground_set_size == cluster.stats().ground_set_size > 0
 
     def test_domain_failures_stay_per_handle(self):
         cluster = _cluster("skipweb1d")

@@ -83,7 +83,7 @@ class TestSkipWebRaces:
         _assert_one_loser(handles, (1, 2))
         assert cluster.get(absent).ok
         if name != "bucket-skipweb1d":
-            cluster.structure.web.validate()
+            cluster.structure.validate()
 
     @pytest.mark.parametrize("name", SKIP_WEBS)
     def test_delete_insert_insert(self, name):
@@ -104,14 +104,14 @@ class TestSkipWebRaces:
         assert handles[0].ok
         _assert_one_loser(handles, (1, 2))
         if name != "bucket-skipweb1d":
-            cluster.structure.web.validate()
+            cluster.structure.validate()
 
     def test_the_last_item_guard_holds_at_the_commit_point(self):
         cluster = Cluster("skipweb1d", items=[1.0, 2.0], seed=1)
         handles = list(cluster.batch([("get", 1.0), ("delete", 1.0), ("delete", 2.0)]))
         _assert_one_loser(handles, (1, 2))
         assert "last item" in str(next(h.error for h in handles if not h.ok))
-        assert cluster.structure.web.ground_set_size == 1
+        assert cluster.structure.ground_set_size == 1
 
 
 class TestBaselinesKeepOneCopy:

@@ -76,7 +76,7 @@ class TestChurnControllerOnSkipWeb:
         newcomer = web.network.host(event.host)
         assert newcomer.memory_used > 0
         assert event.host in web.origin_hosts()
-        web.web.validate()
+        web.validate()
 
     def test_graceful_leave_hands_every_record_off(self):
         web = SkipWeb1D(uniform_keys(32, seed=1), seed=1)
@@ -87,7 +87,7 @@ class TestChurnControllerOnSkipWeb:
         assert event.host not in web.network
         assert event.hosts_after == hosts_before - 1
         assert event.host not in web.origin_hosts()
-        web.web.validate()
+        web.validate()
         # Queries keep working from every surviving origin.
         operations = [
             Operation("search", query, origin_host=origin)
@@ -103,7 +103,7 @@ class TestChurnControllerOnSkipWeb:
         assert event.kind == "crash"
         assert event.records_moved > 0
         assert event.host not in web.network
-        web.web.validate()
+        web.validate()
         result = BatchExecutor(web).run(
             [Operation("search", float(q)) for q in range(0, 1_000_000, 200_000)]
         )
@@ -220,4 +220,4 @@ class TestRepairEngine:
         # The failed hand-off happened before any record moved, so the
         # structure is still whole.
         web.network.recover_host(target)
-        web.web.validate()
+        web.validate()

@@ -75,10 +75,8 @@ class TestSteps:
 class TestProtocolConformance:
     def test_all_structures_implement_protocol(self):
         keys = uniform_keys(24, seed=0)
-        web = SkipWeb1D(keys, seed=0)
         structures = [
-            web,
-            web.web,
+            SkipWeb1D(keys, seed=0),
             BucketSkipWeb1D(keys, memory_size=8, seed=0),
             SkipQuadtreeWeb(
                 uniform_points(16, dimension=2, seed=0),
@@ -135,7 +133,7 @@ class TestBatchExecutor:
         assert result.rounds > 0
         assert result.messages > 0
         assert result.max_round_congestion >= 1
-        web.web.validate()
+        web.validate()
         for key in inserts:
             assert web.contains(key)
         # Per-op accounting adds up to the batch total.
@@ -189,7 +187,7 @@ class TestBatchExecutor:
                 assert direct.answer.nearest == outcome.value.answer.nearest
         with pytest.raises(HostFailedError):
             failures[0].result()
-        web.web.validate()
+        web.validate()
 
     def test_update_interrupted_by_failure_leaves_structure_consistent(self):
         """Updates mutate atomically before billing: a host failing mid-batch
@@ -211,7 +209,7 @@ class TestBatchExecutor:
         for victim in victims:
             web.network.recover_host(victim)
         # Regardless of which operations failed, the structure is whole.
-        web.web.validate()
+        web.validate()
         for outcome in result.outcomes:
             if outcome.operation.kind == "insert" and outcome.ok:
                 assert web.contains(outcome.operation.payload)

@@ -83,13 +83,13 @@ def test_bytes_per_record_within_budget(family):
         before = traced_bytes()
         cluster = Cluster(family, items, seed=SEED, **options)
         total = traced_bytes() - before
-    per_record = total / cluster.structure.web.record_count()
+    per_record = total / cluster.structure.record_count()
     assert per_record <= budget, f"{family}: {per_record:.0f} B per record"
 
 
 def test_record_has_no_dict():
     cluster = Cluster("skipweb1d", uniform_keys(64, SEED), seed=SEED)
-    web = cluster.structure.web
+    web = cluster.structure
     for address in list(web._address_of.values())[:50]:
         record = web.network.load(address)
         assert type(record) is SkipWebRecord

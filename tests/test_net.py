@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, HostFailedError, HostMemoryExceeded, UnknownHostError
-from repro.net import Address, Host, MessageKind, Network, Traversal
+from repro.net import Address, Host, MessageKind, Network
 from repro.net.congestion import congestion_report, round_congestion_report
 from repro.net.faults import inject_host_faults
 from repro.net.message import MessageLog
@@ -152,42 +152,6 @@ class TestNetwork:
         network.recover_host(1)
         network.send(0, 1)
         assert network.total_messages == 1
-
-
-class TestTraversal:
-    def test_local_visit_is_free(self):
-        network = Network()
-        network.add_hosts(2)
-        address = network.store(0, "x")
-        traversal = Traversal(network, origin=0)
-        assert traversal.visit(address) == "x"
-        assert traversal.hops == 0
-
-    def test_remote_visit_charges_one_message(self):
-        network = Network()
-        network.add_hosts(2)
-        address = network.store(1, "x")
-        traversal = Traversal(network, origin=0)
-        traversal.visit(address)
-        assert traversal.hops == 1
-        assert traversal.current_host == 1
-        assert traversal.path == [0, 1]
-
-    def test_hop_to_same_host_is_free(self):
-        network = Network()
-        network.add_hosts(2)
-        traversal = Traversal(network, origin=0)
-        traversal.hop_to(0)
-        assert traversal.hops == 0
-        traversal.hop_to(1)
-        assert traversal.hops == 1
-
-    def test_update_kind_is_recorded(self):
-        network = Network()
-        network.add_hosts(2)
-        traversal = Traversal(network, origin=0, kind=MessageKind.UPDATE)
-        traversal.hop_to(1)
-        assert network.message_log.count(MessageKind.UPDATE) == 1
 
 
 class TestMessageLog:

@@ -99,7 +99,7 @@ def onedim_web():
 class TestSkipWeb1D:
     def test_structure_is_valid(self, onedim_web):
         _keys, web = onedim_web
-        web.web.validate()
+        web.validate()
 
     def test_queries_match_reference(self, onedim_web):
         keys, web = onedim_web
@@ -150,7 +150,7 @@ class TestSkipWeb1DUpdates:
         result = web.insert(13.5)
         assert result.kind == "insert" and result.messages > 0
         assert web.contains(13.5)
-        web.web.validate()
+        web.validate()
 
     def test_insert_duplicate_raises(self):
         web = SkipWeb1D([1.0, 2.0, 3.0], seed=1)
@@ -163,7 +163,7 @@ class TestSkipWeb1DUpdates:
         web.delete(10.0)
         assert not web.contains(10.0)
         assert web.nearest(10.0).answer.nearest in (8.0, 12.0)
-        web.web.validate()
+        web.validate()
 
     def test_delete_missing_raises(self):
         web = SkipWeb1D([1.0, 2.0], seed=1)
@@ -189,7 +189,7 @@ class TestSkipWeb1DUpdates:
         for victim in rng.sample(alive, 8):
             web.delete(victim)
             alive.remove(victim)
-        web.web.validate()
+        web.validate()
         alive.sort()
         for query in [rng.uniform(0, 10000) for _ in range(15)]:
             assert web.nearest(query).answer.nearest == reference_nearest(alive, query)

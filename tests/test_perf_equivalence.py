@@ -444,7 +444,7 @@ class TestUpdateLocality:
             assert update(key).messages > 0
             counts.append(len(built))
         monkeypatch.undo()
-        return counts, web.web.height
+        return counts, web.height
 
     def test_unit_constructions_do_not_grow_with_n(self, monkeypatch):
         (small_delete, small_insert), small_height = self._units_built(monkeypatch, 512)
@@ -1006,7 +1006,7 @@ class TestSerialBatchContract:
         assert cluster.get(77.5).value.answer.exact
         assert cluster.delete(77.5).ok
         assert 77.5 not in cluster.structure.keys
-        cluster.structure.web.validate()
+        cluster.structure.validate()
 
     def test_failed_host_batch_answers_every_operation(self):
         cluster = Cluster(structure="skipweb1d", items=_FAMILY_KEYS, seed=21)

@@ -151,7 +151,7 @@ def trapezoid_web():
 class TestSkipTrapezoidWeb:
     def test_validate(self, trapezoid_web):
         _segments, _box, web = trapezoid_web
-        web.web.validate()
+        web.validate()
 
     def test_point_location_matches_local_map(self, trapezoid_web):
         _segments, box, web = trapezoid_web
@@ -202,7 +202,7 @@ class TestSkipTrapezoidWeb:
         assert new_segment in web.segments
         web.delete(segments[0])
         assert segments[0] not in web.segments
-        web.web.validate()
+        web.validate()
 
 
 class TestWindowReporting:

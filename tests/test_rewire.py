@@ -91,7 +91,7 @@ class _Paired:
         self.check()
 
     def check(self):
-        delta_web, scan_web = (cluster.structure.web for cluster in self.clusters)
+        delta_web, scan_web = (cluster.structure for cluster in self.clusters)
         assert record_fields(delta_web) == record_fields(scan_web)
         registered = {
             (level, prefix, key)
@@ -282,7 +282,7 @@ def _stale_stream(name, n, updates):
             item = fresh(rng)
             live.append(item)
             assert cluster.insert(item).ok
-    return cluster.structure.web
+    return cluster.structure
 
 
 #: (unit copies, neighbour-range copies, hyperlink copies) left stale after
@@ -318,7 +318,7 @@ class TestNeighbourTableComparison:
     """A rewire compares a neighbour table as a map and hyperlinks in order."""
 
     def _record(self):
-        web = Cluster("skipweb1d", uniform_keys(64, seed=5), seed=5).structure.web
+        web = Cluster("skipweb1d", uniform_keys(64, seed=5), seed=5).structure
         for (level, prefix, key), address in web._address_of.items():
             record = web.network.load(address, check_alive=False)
             if len(record.neighbors) == 6 and len(record.down_units) >= 2:

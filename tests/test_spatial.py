@@ -101,7 +101,7 @@ class TestDefaultBoundingCube:
         neighbour = (math.nextafter(corner[0], -math.inf), corner[1])
         assert web.insert(neighbour).messages > 0
         assert web.delete(corner).messages > 0
-        web.web.validate()
+        web.validate()
 
 
 class TestCompressedQuadtree:
@@ -219,7 +219,7 @@ def quad_web():
 class TestSkipQuadtreeWeb:
     def test_validate(self, quad_web):
         _points, web = quad_web
-        web.web.validate()
+        web.validate()
 
     def test_point_location_matches_local_tree(self, quad_web):
         _points, web = quad_web
@@ -250,7 +250,7 @@ class TestSkipQuadtreeWeb:
         assert inserted in web.points
         web.delete(points[5])
         assert points[5] not in web.points
-        web.web.validate()
+        web.validate()
         # A query off dyadic cell boundaries locates identically to the
         # local tree (boundary points may legitimately resolve to either
         # adjacent cell).

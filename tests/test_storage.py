@@ -11,6 +11,7 @@ import io
 import json
 import os
 import pickle
+import pickletools
 import random
 import sqlite3
 from dataclasses import fields
@@ -18,13 +19,14 @@ from dataclasses import fields
 import pytest
 
 from repro.api import Cluster, FaultPlan, available_structures
-from repro.core.skipweb import SkipWebRecord
+from repro.core.skipweb import SkipWeb, SkipWebRecord
 from repro.engine import BatchExecutor, run_immediate
 from repro.errors import FaultInjectedError, ReproError, StorageError
 from repro.net.faults import drop
 from repro.net.message import MessageKind, MessageLog
 from repro.net.network import Network, RoundReport
 from repro.onedim import SkipWeb1D
+from repro.planar.segments import bounding_box
 from repro.spatial import HyperCube
 from repro.storage import (
     FORMAT_VERSION,
@@ -45,7 +47,7 @@ from repro.storage.workload import (
     run_workload,
     workload_specs,
 )
-from repro.workloads import random_strings, uniform_keys, uniform_points
+from repro.workloads import random_strings, uniform_keys, uniform_points, x_disjoint_segments
 
 SEED = 11
 KEYS = uniform_keys(24, seed=3)
@@ -440,6 +442,25 @@ class TestSaveAndLoad:
         assert recovered.stats().as_dict() == stats
         recovered.close()
 
+    def test_close_stops_journaling_membership(self, tmp_path):
+        cluster, store = _journaled_cluster(tmp_path)
+        network = cluster.network
+        cluster.close()
+        network.fail_host(2)  # after close: not part of the closed run
+        backend = open_storage(store)
+        assert [record.kind for record in backend.records()] == ["create"]
+        backend.close()
+
+        recovered = Cluster.recover(store)
+        assert recovered.insert(1.5).ok
+        digest = content_digest(recovered.structure)
+        stats = recovered.stats().as_dict()
+        recovered.close()
+        again = Cluster.recover(store)
+        assert content_digest(again.structure) == digest
+        assert again.stats().as_dict() == stats
+        again.close()
+
     def test_snapshot_cadence_writes_snapshots(self, tmp_path):
         cluster, store = _journaled_cluster(tmp_path, snapshot_every=2)
         for _ in range(3):
@@ -538,7 +559,7 @@ def _run_stream(cluster, operations):
 
 
 def _records(cluster):
-    web = cluster.structure.web
+    web = cluster.structure
     fields = {}
     for entry, address in web._address_of.items():
         record = web.network.load(address, check_alive=False)
@@ -575,7 +596,7 @@ class TestDataclassRecordSnapshot:
         legacy.close()
 
         restored = Cluster.recover(store)
-        web = restored.structure.web
+        web = restored.structure
         record = web.network.load(next(iter(web._address_of.values())))
         assert type(record) is SkipWebRecord and not hasattr(record, "__dict__")
         assert _records(restored) == _records(twin)
@@ -647,6 +668,92 @@ class TestTracingNetworkSnapshot:
         assert _run_stream(restored, stream) == _run_stream(twin, stream)
         assert content_digest(restored.structure) == content_digest(twin.structure)
         restored.close()
+
+
+class _WrappedWebPickler(pickle.Pickler):
+    """Pickles the four skip-web families as they pickled while they wrapped one.
+
+    Each family then held a generic ``SkipWeb`` in ``.web`` and kept only
+    its domain attribute (bounding cube, alphabet or box) beside it.
+    """
+
+    DOMAIN_ATTRIBUTES = ("bounding_cube", "alphabet", "box")
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, SkipWeb) or type(obj) is SkipWeb:
+            return NotImplemented
+        web = SkipWeb.__new__(SkipWeb)
+        state = {}
+        for name, value in vars(obj).items():
+            if name in self.DOMAIN_ATTRIBUTES:
+                state[name] = value
+            else:
+                setattr(web, name, value)
+        state["web"] = web
+        return copyreg.__newobj__, (type(obj),), state
+
+
+class _WrappedWebPickle(_DataclassRecordPickle):
+    @staticmethod
+    def dumps(obj, protocol=None):
+        buffer = io.BytesIO()
+        _WrappedWebPickler(buffer, protocol).dump(obj)
+        return buffer.getvalue()
+
+
+def _wrapped_inputs():
+    """(items, options, draw an item or None for search-only, draw a query) per family."""
+    inputs = {
+        family: (items, options, draw, draw)
+        for family, (items, options, draw) in _legacy_inputs().items()
+    }
+    segments = x_disjoint_segments(24, seed=5)
+    x_low, x_high, y_low, y_high = bounding_box(segments, margin=1.0)
+    inputs["skiptrapezoid"] = (
+        segments,
+        {},
+        None,
+        lambda rng: (rng.uniform(x_low, x_high), rng.uniform(y_low, y_high)),
+    )
+    return inputs
+
+
+class TestWrappedWebSnapshot:
+    """A snapshot pickled while the families wrapped a ``SkipWeb`` still restores."""
+
+    @pytest.mark.parametrize("family", ["skipquadtree", "skiptrapezoid", "skiptrie", "skipweb1d"])
+    def test_restores_like_a_never_snapshotted_twin(self, family, tmp_path, monkeypatch):
+        items, options, draw_item, draw_query = _wrapped_inputs()[family]
+        store = str(tmp_path / "legacy.jsonl")
+        legacy = Cluster(family, items, seed=SEED, storage=store, **options)
+        twin = Cluster(family, items, seed=SEED, **options)
+        if draw_item is None:
+            rng = random.Random(SEED)
+            operations = [("search", draw_query(rng)) for _ in range(30)]
+        else:
+            operations = _operation_stream(items, draw_item, seed=SEED, count=30)
+        warm_up, stream = operations[:20], operations[20:]
+        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
+
+        monkeypatch.setattr(snapshot_module, "pickle", _WrappedWebPickle)
+        legacy.save()
+        monkeypatch.undo()
+        backend = open_storage(store)
+        _manifest, blob = backend.latest_snapshot()
+        backend.close()
+        assert "web" in {argument for _opcode, argument, _at in pickletools.genops(blob)}
+        legacy.close()
+
+        restored = Cluster.recover(store)
+        assert type(restored.structure) is type(twin.structure)
+        assert "web" not in vars(restored.structure)
+        restored.structure.validate()
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        assert restored.stats().as_dict() == twin.stats().as_dict()
+        assert _run_stream(restored, stream) == _run_stream(twin, stream)
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        restored.close()
+        twin.close()
 
 
 class TestCorruption:

@@ -147,7 +147,7 @@ def trie_web():
 class TestSkipTrieWeb:
     def test_validate(self, trie_web):
         _strings, web = trie_web
-        web.web.validate()
+        web.validate()
 
     def test_locate_matches_reference(self, trie_web):
         strings, web = trie_web
@@ -188,7 +188,7 @@ class TestSkipTrieWeb:
         assert web.contains("zzzbrandnew")
         web.delete(strings[3])
         assert not web.contains(strings[3])
-        web.web.validate()
+        web.validate()
 
     def test_dna_reads_deep_trie_queries(self):
         reads = dna_reads(100, seed=5)
