@@ -45,7 +45,7 @@ from repro.api.results import (
 )
 from repro.engine.executor import BatchExecutor, Operation
 from repro.engine.repair import RepairEngine, RepairResult
-from repro.errors import StorageError, StructureError, UnsupportedOperationError
+from repro.errors import ReproError, StorageError, StructureError, UnsupportedOperationError
 from repro.net.churn import ChurnController, ChurnEvent
 from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.faults import FaultPlan, faults_from_config, resolve_faults
@@ -60,7 +60,8 @@ from repro.storage import (
     open_storage,
     restore_snapshot,
 )
-from repro.storage.controller import refuse_unreplayable_singles
+from repro.storage.controller import check_payload
+from repro.storage.record import encode_value
 
 #: Convenience aliases accepted wherever an operation kind is named.
 _KIND_ALIASES = {
@@ -259,7 +260,9 @@ class Cluster:
             # network's membership listener only attaches once the
             # structure exists: construction-time add_host events are
             # implied by the create record, not journaled individually.
-            self._durability.record_action("create", self._create_payload(items))
+            payload = self._config(self._topology, self._faults)
+            payload["items"] = tuple(items) if items is not None else None
+            self._durability.record_action("create", payload)
             if self._structure is not None:
                 self.network.add_membership_listener(
                     self._durability.membership_listener
@@ -284,10 +287,10 @@ class Cluster:
                 "diverge on replay (drop churn_rng= or storage=)"
             )
 
-    def _create_payload(self, items: Sequence[Any] | None) -> dict[str, Any]:
+    def _config(self, topology: Topology | None, faults: FaultPlan | None) -> dict[str, Any]:
+        """The façade configuration that a create record and a snapshot both hold."""
         return {
             "structure": self.spec.name,
-            "items": tuple(items) if items is not None else None,
             "hosts": self._hosts,
             "memory_size": self._memory_size,
             "seed": self.seed,
@@ -295,12 +298,8 @@ class Cluster:
             "join_fraction": self._join_fraction,
             "min_hosts": self._min_hosts,
             "snapshot_every": self._snapshot_every,
-            "topology": (
-                self._topology.describe() if self._topology is not None else None
-            ),
-            "faults": (
-                self._faults.describe() if self._faults is not None else None
-            ),
+            "topology": topology.describe() if topology is not None else None,
+            "faults": faults.describe() if faults is not None else None,
             "round_budget": self._round_budget,
             "options": dict(self._options),
         }
@@ -396,6 +395,8 @@ class Cluster:
             raise StructureError(
                 f"structure {self.spec.name!r} has no bulk-load constructor"
             )
+        if self._durability is not None:
+            encode_value(tuple(sorted_items))
         self._structure = self._construct(self.spec.bulk_factory, sorted_items)
         if self._topology is not None:
             self.network.set_topology(self._topology)
@@ -521,6 +522,9 @@ class Cluster:
 
     def _run_batch(self, operations: list[Operation]) -> BatchReport:
         """Run already-normalized operations through the executor."""
+        if self._durability is not None:
+            # Refuse up front what the journal could not record after the commit.
+            encode_value([operation.payload for operation in operations])
         result = self.executor.run(operations)
         handles = [
             self._classify(OperationHandle.from_outcome(outcome, index))
@@ -780,37 +784,13 @@ class Cluster:
             self.structure,
             self._churn,
             self._repair_engine,
-            self._snapshot_config(),
+            self._config(self.network.topology, self.network.faults),
             upto=self._durability.backend.record_count,
             actions=self._durability.applied_actions,
             structure_name=self.spec.name,
         )
         self._durability.backend.write_snapshot(manifest, blob)
         self._durability.note_snapshot()
-
-    def _snapshot_config(self) -> dict[str, Any]:
-        return {
-            "structure": self.spec.name,
-            "seed": self.seed,
-            "hosts": self._hosts,
-            "memory_size": self._memory_size,
-            "max_retries": self._max_retries,
-            "join_fraction": self._join_fraction,
-            "min_hosts": self._min_hosts,
-            "snapshot_every": self._snapshot_every,
-            "topology": (
-                self.network.topology.describe()
-                if self.network.topology is not None
-                else None
-            ),
-            "faults": (
-                self.network.faults.describe()
-                if self.network.faults is not None
-                else None
-            ),
-            "round_budget": self._round_budget,
-            "options": dict(self._options),
-        }
 
     @classmethod
     def _from_restored_state(
@@ -827,12 +807,12 @@ class Cluster:
         # The unpickled network carries the live topology instance; the
         # config's portable dict is only kept for the facade's own record
         # (and for the journal cross-check in recover()).
-        cluster._topology = topology_from_config(config.get("topology"))
+        cluster._topology = topology_from_config(config["topology"])
         # The live fault plan — mid-stream RNG state included — travels
         # inside the pickled network, so replayed tails consume the same
         # decision stream the pre-crash run would have.
         cluster._faults = state["structure"].network.faults
-        cluster._round_budget = config.get("round_budget")
+        cluster._round_budget = config["round_budget"]
         cluster._max_retries = config["max_retries"]
         cluster._churn_rng = None
         cluster._join_fraction = config["join_fraction"]
@@ -844,7 +824,7 @@ class Cluster:
         cluster._closed = False
         cluster._close_lock = threading.Lock()
         cluster._durability = None
-        cluster._snapshot_every = config.get("snapshot_every", 0)
+        cluster._snapshot_every = config["snapshot_every"]
         return cluster
 
     @classmethod
@@ -914,10 +894,9 @@ class Cluster:
                 f"log in {backend.path!r} does not begin with a 'create' "
                 "record; not a cluster journal"
             )
+        check_payload(records[0])
         create = records[0].payload
-        controller = DurabilityController(
-            backend, snapshot_every=create.get("snapshot_every", 0)
-        )
+        controller = DurabilityController(backend, snapshot_every=create["snapshot_every"])
         snapshot = backend.latest_snapshot() if from_snapshot else None
         if snapshot is not None and snapshot[0]["upto"] > len(records):
             raise StorageError(
@@ -927,28 +906,20 @@ class Cluster:
             )
         # The tail to replay: past the snapshot, or all but the create record.
         tail = records[snapshot[0]["upto"] if snapshot is not None else 1 :]
-        refuse_unreplayable_singles(create, tail)
         if snapshot is not None:
             manifest, blob = snapshot
             state = restore_snapshot(manifest, blob)
-            snapshot_topology = state["config"].get("topology")
-            create_topology = create.get("topology")
-            if snapshot_topology != create_topology:
-                raise StorageError(
-                    f"topology mismatch in {backend.path!r}: the journal's "
-                    f"create record says {create_topology!r} but the snapshot "
-                    f"was taken under {snapshot_topology!r}; refusing to "
-                    "recover onto a different network layout"
-                )
-            snapshot_faults = state["config"].get("faults")
-            create_faults = create.get("faults")
-            if snapshot_faults != create_faults:
-                raise StorageError(
-                    f"fault-plan mismatch in {backend.path!r}: the journal's "
-                    f"create record says {create_faults!r} but the snapshot "
-                    f"was taken under {snapshot_faults!r}; refusing to replay "
-                    "a tail against a different chaos schedule"
-                )
+            for key, name, what in (
+                ("topology", "topology", "network layout"),
+                ("faults", "fault-plan", "chaos schedule"),
+            ):
+                if state["config"][key] != create[key]:
+                    raise StorageError(
+                        f"{name} mismatch in {backend.path!r}: the journal's create "
+                        f"record says {create[key]!r} but the snapshot was taken under "
+                        f"{state['config'][key]!r}; refusing to recover onto a "
+                        f"different {what}"
+                    )
             cluster = cls._from_restored_state(state, manifest["structure"])
             cluster._attach_durability(controller)
             controller.applied_actions = manifest["actions"]
@@ -956,23 +927,25 @@ class Cluster:
             controller.replay(cluster, tail)
             return cluster
         # Full from-genesis replay: re-run construction, then re-execute
-        # every committed action.  Keys no longer read (``trace``,
-        # ``workers``, ``mode``) are ignored.
-        cluster = cls(
-            structure=create["structure"],
-            items=create["items"],
-            hosts=create["hosts"],
-            memory_size=create["memory_size"],
-            seed=create["seed"],
-            topology=topology_from_config(create.get("topology")),
-            faults=faults_from_config(create.get("faults")),
-            round_budget=create.get("round_budget"),
-            max_retries=create["max_retries"],
-            join_fraction=create["join_fraction"],
-            min_hosts=create["min_hosts"],
-            **create["options"],
-        )
-        cluster._snapshot_every = create.get("snapshot_every", 0)
+        # every committed action.
+        try:
+            cluster = cls(
+                structure=create["structure"],
+                items=create["items"],
+                hosts=create["hosts"],
+                memory_size=create["memory_size"],
+                seed=create["seed"],
+                topology=topology_from_config(create["topology"]),
+                faults=faults_from_config(create["faults"]),
+                round_budget=create["round_budget"],
+                max_retries=create["max_retries"],
+                join_fraction=create["join_fraction"],
+                min_hosts=create["min_hosts"],
+                **create["options"],
+            )
+        except (ReproError, TypeError, ValueError) as exc:
+            raise StorageError(f"replay of log record 0 ('create') failed: {exc}") from exc
+        cluster._snapshot_every = create["snapshot_every"]
         cluster._attach_durability(controller)
         controller.applied_actions = 1  # the create record
         if cluster._structure is not None:

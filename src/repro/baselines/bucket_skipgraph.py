@@ -201,7 +201,11 @@ class BucketSkipGraph(DistributedOrderedStructure):
         current_key = origin_key
         safety = 4 * self.network.host_count + 16
         for _ in range(safety):
-            table = self.network.load(self._table_addresses[self._host_of_key[current_key]])
+            host = self._host_of_key.get(current_key)
+            if host is None:
+                # Deleted by an update of the same batch: a retryable conflict.
+                raise QueryError(f"{self.name}: key {current_key!r} was deleted mid-walk")
+            table = self.network.load(self._table_addresses[host])
             next_key = self._route(table, current_key, query)
             if next_key is None:
                 bucket: list[float] = table["bucket"]

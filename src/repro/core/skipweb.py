@@ -101,24 +101,6 @@ class SkipWebRecord:
     def __reduce__(self):
         return SkipWebRecord, tuple(getattr(self, name) for name in self.__slots__)
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # A snapshot pickled while records were dataclasses holds their
-        # ``__dict__``: a list of (unit, address) hyperlinks, a dict of
-        # key -> (range, address) neighbours and possibly a range cache.
-        down_links = state["down_links"]
-        self.__init__(
-            state["level"],
-            state["prefix"],
-            state["unit"],
-            tuple(unit for unit, _address in down_links),
-            tuple(address for _unit, address in down_links),
-            tuple(
-                field
-                for key, (rng, address) in state["neighbors"].items()
-                for field in (key, rng, address)
-            ),
-        )
-
     def same_neighbors(self, table: tuple) -> bool:
         """Whether the stored neighbour table holds exactly ``table``'s entries.
 
@@ -279,15 +261,6 @@ class SkipWeb:
         web = cls(*args, **kwargs)
         web.construction_messages = web._charge_construction()
         return web
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # A snapshot pickled while the four instantiations wrapped a
-        # generic skip-web holds that skip-web under ``"web"``, next to
-        # the domain attributes (bounding cube, alphabet, box).
-        wrapped = state.pop("web", None)
-        if wrapped is not None:
-            state = {**wrapped.__dict__, **state}
-        self.__dict__.update(state)
 
     def _charge_construction(self) -> int:
         """Bill one CONSTRUCTION message per remotely placed record."""

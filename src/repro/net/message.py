@@ -12,7 +12,7 @@ an object: nothing in the cost model reads a message's contents.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.net.naming import HostId
 
@@ -58,17 +58,6 @@ class MessageLog:
         self._counts[kind] += 1
         self._per_host_received[dst] = self._per_host_received.get(dst, 0) + 1
         self._per_host_sent[src] = self._per_host_sent.get(src, 0) + 1
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # Snapshots written before the fault-injection subsystem carry
-        # logs without the fault tallies; back-fill zeros on unpickle.
-        # Older logs also stored message objects and a sequence counter,
-        # which no longer exist.
-        for attribute in ("_keep_messages", "_messages", "_seq"):
-            state.pop(attribute, None)
-        self.__dict__.update(state)
-        for attribute in ("_dropped", "_duplicated", "_delayed"):
-            self.__dict__.setdefault(attribute, 0)
 
     def __len__(self) -> int:
         return sum(self._counts.values())

@@ -132,12 +132,6 @@ class RoundReport:
         """Largest number of messages any single host received this round."""
         return self.max_load
 
-    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
-        # Reports pickled before the per-host load dict was dropped carry it.
-        for name, value in state[1].items():
-            if name != "per_host":
-                setattr(self, name, value)
-
 
 class PendingDelivery:
     """A queued message awaiting the next :meth:`Network.run_round`.
@@ -311,35 +305,6 @@ class Network:
         state = self.__dict__.copy()
         state["_membership_listeners"] = []
         return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # Networks pickled with a second, message-object substrate carry
-        # its switch and its tuple queue.
-        state.pop("_trace", None)
-        state.pop("_pending_fast", None)
-        self.__dict__.update(state)
-        if "_topology" not in state:
-            # Blob pickled before the topology seam existed: restore it
-            # onto the implicit flat default with empty weighted state.
-            self._topology = None
-            self._round_per_link = {}
-            self._round_per_cluster = {}
-            self._round_weight = 0
-            self._session_weight = 0
-            self._session_per_round_max_link = []
-            self._session_per_round_max_cluster = []
-            self._session_busiest_link = None
-            self._session_busiest_link_load = 0
-            self._session_busiest_link_round = None
-            self._session_busiest_cluster = None
-            self._session_busiest_cluster_load = 0
-        if "_faults" not in state:
-            # Blob pickled before the fault-injection seam existed.
-            self._faults = None
-            self._delayed = []
-            self._round_injected_drops = 0
-            self._round_duplicated = 0
-            self._round_delayed = 0
 
     # ------------------------------------------------------------------ #
     # membership event listeners

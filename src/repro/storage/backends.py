@@ -30,39 +30,52 @@ ever returning a silently shortened history.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import sqlite3
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import StorageError
 from repro.storage.record import (
     FORMAT_VERSION,
     LogRecord,
+    check_version,
     decode_record,
+    dumps,
     encode_record,
 )
+from repro.storage.snapshot import check_manifest
 
 #: Path suffixes routed to :class:`SqliteStorage` by :func:`open_storage`.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
-def _decode_all(entries: list[Callable[[], Any]], where: str) -> list[LogRecord]:
-    """Verify-and-decode every log entry, classifying the first failure.
+def _decode_all(entries: Sequence[Any], parse: Callable[[Any], Any], where: str) -> list[LogRecord]:
+    """Parse, verify and decode every log entry, classifying the first failure.
 
     A failure on the *final* entry is reported as a torn tail (what a
     crash mid-append leaves behind); a failure anywhere earlier is
     corruption.  Either way the error carries how many leading records
-    verified cleanly — never a partial silent load.
+    verified cleanly — never a partial silent load.  An entry written by
+    another format version is neither: it is refused as version skew.
     """
     records: list[LogRecord] = []
     last = len(entries) - 1
-    for index, load in enumerate(entries):
+    for index, raw in enumerate(entries):
+        entry = None
         try:
-            records.append(decode_record(load(), expected_seq=index))
+            try:
+                entry = parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise StorageError(f"unparseable log entry: {exc}") from exc
+            records.append(decode_record(entry, expected_seq=index))
         except StorageError as exc:
+            if isinstance(entry, dict) and entry.get("v") != FORMAT_VERSION:
+                # Another format version is not damage: never trimmable.
+                raise StorageError(f"{where}: {exc}") from exc
             torn = index == last
             what = "torn tail" if torn else "corruption"
             raise StorageError(
@@ -78,18 +91,6 @@ def _check_blob(blob: bytes, crc: int, where: str) -> bytes:
     if zlib.crc32(blob) != crc:
         raise StorageError(f"snapshot blob in {where} failed its checksum")
     return blob
-
-
-def _check_manifest_version(manifest: Any, where: str) -> dict[str, Any]:
-    if not isinstance(manifest, dict):
-        raise StorageError(f"snapshot manifest in {where} is not an object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise StorageError(
-            f"snapshot in {where} has format version {version!r}; this "
-            f"build reads version {FORMAT_VERSION} (version skew)"
-        )
-    return manifest
 
 
 class StorageBackend(ABC):
@@ -207,7 +208,7 @@ class JsonlStorage(StorageBackend):
 
     def _write(self, encoded: dict[str, Any]) -> None:
         handle = self._handle()
-        handle.write(json.dumps(encoded, separators=(",", ":")) + "\n")
+        handle.write(dumps(encoded) + "\n")
         # Flush to the OS on every append: a SIGKILL after this point
         # cannot lose the record (the kernel holds it), and we avoid a
         # per-record disk round trip.  sync=True adds the fsync for
@@ -226,16 +227,7 @@ class JsonlStorage(StorageBackend):
         return len(self._lines())
 
     def records(self) -> list[LogRecord]:
-        def loader(line: str) -> Callable[[], Any]:
-            def load() -> Any:
-                try:
-                    return json.loads(line)
-                except ValueError as exc:
-                    raise StorageError(f"unparseable log line: {exc}") from exc
-
-            return load
-
-        return _decode_all([loader(line) for line in self._lines()], self._log_path)
+        return _decode_all(self._lines(), json.loads, self._log_path)
 
     def truncate(self, count: int) -> None:
         self.close()
@@ -254,8 +246,6 @@ class JsonlStorage(StorageBackend):
         return f"{self.SNAPSHOT_PREFIX}{upto:010d}.json"
 
     def write_snapshot(self, manifest: dict[str, Any], blob: bytes) -> None:
-        import base64
-
         document = {
             "manifest": manifest,
             "blob": base64.b64encode(blob).decode("ascii"),
@@ -270,8 +260,6 @@ class JsonlStorage(StorageBackend):
         os.replace(tmp, target)
 
     def latest_snapshot(self) -> tuple[dict[str, Any], bytes] | None:
-        import base64
-
         names = [
             name
             for name in os.listdir(self.path)
@@ -283,7 +271,7 @@ class JsonlStorage(StorageBackend):
         try:
             with open(target, "r", encoding="ascii") as fh:
                 document = json.load(fh)
-            manifest = _check_manifest_version(document["manifest"], target)
+            manifest = check_manifest(document["manifest"], target)
             blob = base64.b64decode(document["blob"].encode("ascii"))
         except StorageError:
             raise
@@ -314,11 +302,8 @@ class SqliteStorage(StorageBackend):
         row = conn.execute(
             "SELECT value FROM meta WHERE key = 'format_version'"
         ).fetchone()
-        if row is not None and int(row[0]) != FORMAT_VERSION:
-            raise StorageError(
-                f"sqlite store {self.path!r} has format version {row[0]}; "
-                f"this build reads version {FORMAT_VERSION} (version skew)"
-            )
+        if row is not None:
+            check_version(int(row[0]), f"sqlite store {self.path!r}")
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -363,7 +348,7 @@ class SqliteStorage(StorageBackend):
                     encoded["seq"],
                     encoded["v"],
                     encoded["kind"],
-                    encoded["payload"],
+                    dumps(encoded["payload"]),
                     encoded["crc"],
                 ),
             )
@@ -380,16 +365,11 @@ class SqliteStorage(StorageBackend):
         )
 
     def records(self) -> list[LogRecord]:
-        def loader(row: tuple[int, int, str, str, int]) -> Callable[[], Any]:
-            return lambda: {
-                "seq": row[0],
-                "v": row[1],
-                "kind": row[2],
-                "payload": row[3],
-                "crc": row[4],
-            }
+        def parse(row: tuple[int, int, str, str, int]) -> dict[str, Any]:
+            seq, version, kind, text, crc = row
+            return {"seq": seq, "v": version, "kind": kind, "payload": json.loads(text), "crc": crc}
 
-        return _decode_all([loader(row) for row in self._rows()], self.path)
+        return _decode_all(self._rows(), parse, self.path)
 
     def truncate(self, count: int) -> None:
         conn = self._connection()
@@ -415,12 +395,10 @@ class SqliteStorage(StorageBackend):
             return None
         where = f"{self.path} (snapshots table)"
         try:
-            manifest = _check_manifest_version(json.loads(row[0]), where)
-        except StorageError:
-            raise
-        except Exception as exc:
+            manifest = json.loads(row[0])
+        except (TypeError, ValueError) as exc:
             raise StorageError(f"snapshot manifest in {where} is unreadable: {exc}") from exc
-        return manifest, _check_blob(bytes(row[1]), row[2], where)
+        return check_manifest(manifest, where), _check_blob(bytes(row[1]), row[2], where)
 
     # -- lifecycle -------------------------------------------------------- #
     def sync(self) -> None:

@@ -27,15 +27,69 @@ aggregates, churn victim choices — is byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from types import NoneType
+from typing import Any, Callable, Sequence
 
 from repro.errors import ReproError, StorageError
-from repro.net.faults import HOST_FAULTS
 from repro.storage.backends import StorageBackend
 from repro.storage.record import LogRecord
 
 #: Churn record actions mapped to the façade methods that replay them.
 _CHURN_ACTIONS = ("join", "leave", "crash", "recover")
+
+#: Every kind's required payload fields and the types they decode to
+#: (``object``: any value; the ``Cluster`` constructor checks those).
+PAYLOAD_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
+    "create": {
+        "structure": (str,),
+        "items": (tuple, NoneType),
+        "hosts": (object,),
+        "memory_size": (object,),
+        "seed": (object,),
+        "max_retries": (object,),
+        "join_fraction": (object,),
+        "min_hosts": (object,),
+        "snapshot_every": (int,),
+        "topology": (dict, NoneType),
+        "faults": (dict, NoneType),
+        "round_budget": (object,),
+        "options": (dict,),
+    },
+    "bulk_load": {"items": (tuple,)},
+    "batch": {"operations": (list,)},
+    "churn": {"action": (str,), "host": (int, NoneType)},
+    "repair": {"host_ids": (list,)},
+    "configure_churn": {"join_fraction": (int, float, NoneType), "min_hosts": (int, NoneType)},
+    "membership": {"event": (str,), "host": (int,)},
+}
+
+
+def check_payload(record: LogRecord) -> None:
+    """Refuse a record whose payload lacks a field of its kind or mistypes one.
+
+    Records of an unknown kind pass; replay refuses them by kind.
+    """
+    for name, types in PAYLOAD_FIELDS.get(record.kind, {}).items():
+        if name not in record.payload:
+            raise StorageError(f"log record {record.seq} ({record.kind!r}) has no field {name!r}")
+        if not isinstance(record.payload[name], types):
+            raise StorageError(
+                f"log record {record.seq} ({record.kind!r}) has "
+                f"{name}={record.payload[name]!r}; expected "
+                + " or ".join(kind.__name__ for kind in types)
+            )
+    if record.kind == "batch":
+        for index, operation in enumerate(record.payload["operations"]):
+            if not (
+                type(operation) is list
+                and len(operation) == 3
+                and isinstance(operation[0], str)
+                and isinstance(operation[2], (int, NoneType))
+            ):
+                raise StorageError(
+                    f"log record {record.seq} ('batch') has operations[{index}]="
+                    f"{operation!r}; expected [kind, payload, origin host]"
+                )
 
 
 def committed_prefix(records: Sequence[LogRecord]) -> int:
@@ -51,42 +105,6 @@ def committed_prefix(records: Sequence[LogRecord]) -> int:
     while count > 0 and records[count - 1].kind == "membership":
         count -= 1
     return count
-
-
-def refuse_unreplayable_singles(create: Mapping[str, Any], records: Sequence[LogRecord]) -> None:
-    """Refuse a retired ``mode: "immediate"`` journal whose singles could diverge.
-
-    Older builds had a ``Cluster`` ``mode`` whose ``"immediate"`` setting
-    ran single operations off the round clock and journaled them as
-    ``single`` records.  Those records now replay as one-op batches,
-    which lands on the same state except where the old path differed:
-    it applied no round budget, its fault plan decided each send with no round index
-    (a burst ``window`` never matched, a host rule never fired inside a
-    single), and a range report walked its sub-walks back to back, so a
-    drop cut it short at a different point.  When ``records`` (the tail
-    to replay) holds a ``single`` and the ``create`` record makes one of
-    those differences possible, recovery raises here, before replaying
-    anything, instead of replaying onto a silently different state.
-    """
-    if create.get("mode") != "immediate":
-        return
-    singles = [record for record in records if record.kind == "single"]
-    if not singles:
-        return
-    rules = (create.get("faults") or {}).get("rules", ())
-    if create.get("round_budget") is not None:
-        reason = "a round budget"
-    elif any("window" in rule or rule["kind"] in HOST_FAULTS for rule in rules):
-        reason = "a fault plan that reads the round clock"
-    elif rules and any(record.payload["kind"] == "range" for record in singles):
-        reason = "range singles under a fault plan"
-    else:
-        return
-    raise StorageError(
-        f"journal was written in the retired mode 'immediate' with {reason}; "
-        "its single operations now replay as one-op batches and could diverge "
-        "from the recorded run, so recovery refuses it"
-    )
 
 
 class DurabilityController:
@@ -136,7 +154,7 @@ class DurabilityController:
             "batch",
             {
                 "operations": [
-                    (op.kind, op.payload, op.origin_host) for op in operations
+                    [op.kind, op.payload, op.origin_host] for op in operations
                 ]
             },
         )
@@ -169,6 +187,7 @@ class DurabilityController:
         pending: list[tuple[str, Any]] = []
         try:
             for record in records:
+                check_payload(record)
                 if record.kind == "membership":
                     pending.append(
                         (record.payload["event"], record.payload["host"])
@@ -181,7 +200,9 @@ class DurabilityController:
                     self._apply(cluster, record)
                 except StorageError:
                     raise
-                except ReproError as exc:
+                except (ReproError, TypeError, ValueError) as exc:
+                    # Also a well-formed record the cluster refuses, such as
+                    # an unknown operation kind or a payload of the wrong type.
                     raise StorageError(
                         f"replay of log record {record.seq} "
                         f"({record.kind!r}) failed: {exc} — the journal and "
@@ -218,12 +239,6 @@ class DurabilityController:
             cluster.batch(
                 [tuple(operation) for operation in payload["operations"]]
             )
-        elif kind == "single":
-            # Retired immediate mode: replays as a one-op batch (see
-            # refuse_unreplayable_singles for when that could diverge).
-            cluster._run_single(
-                payload["kind"], payload["payload"], payload["origin_host"]
-            )
         elif kind == "churn":
             action = payload["action"]
             if action == "join":
@@ -243,8 +258,7 @@ class DurabilityController:
             cluster.repair(payload["host_ids"])
         elif kind == "configure_churn":
             cluster.configure_churn(
-                join_fraction=payload.get("join_fraction"),
-                min_hosts=payload.get("min_hosts"),
+                join_fraction=payload["join_fraction"], min_hosts=payload["min_hosts"]
             )
         elif kind == "create":
             raise StorageError(

@@ -28,7 +28,7 @@ from typing import Any
 
 from repro.errors import StorageError
 from repro.net.congestion import round_congestion_report
-from repro.storage.record import FORMAT_VERSION
+from repro.storage.record import FORMAT_VERSION, check_version
 
 
 def content_digest(structure: Any) -> str:
@@ -91,6 +91,31 @@ def _fingerprint(structure: Any) -> dict[str, Any]:
     return fingerprint
 
 
+#: Manifest fields every snapshot holds, with their JSON types.
+_MANIFEST_FIELDS = {
+    "structure": str,
+    "upto": int,
+    "actions": int,
+    "blob_sha256": str,
+    "fingerprint": dict,
+}
+
+
+def check_manifest(manifest: Any, where: str) -> dict[str, Any]:
+    """Refuse a manifest of another format version or with a malformed field."""
+    if not isinstance(manifest, dict):
+        raise StorageError(f"{where}: snapshot manifest is not an object")
+    check_version(manifest.get("format_version"), f"{where}: snapshot")
+    for name, kind in _MANIFEST_FIELDS.items():
+        value = manifest.get(name)
+        if type(value) is not kind or (kind is int and value < 0):
+            raise StorageError(
+                f"{where}: snapshot manifest has {name}={value!r}; "
+                f"expected a {'non-negative int' if kind is int else kind.__name__}"
+            )
+    return manifest
+
+
 def capture_snapshot(
     structure: Any,
     churn: Any,
@@ -138,17 +163,12 @@ def restore_snapshot(manifest: dict[str, Any], blob: bytes) -> dict[str, Any]:
     Any mismatch raises :class:`~repro.errors.StorageError` — a snapshot
     either round-trips exactly or is refused whole.
     """
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise StorageError(
-            f"snapshot has format version {version!r}; this build reads "
-            f"version {FORMAT_VERSION} (version skew)"
-        )
+    check_manifest(manifest, "restore_snapshot")
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != manifest.get("blob_sha256"):
+    if digest != manifest["blob_sha256"]:
         raise StorageError(
             "snapshot blob does not match its manifest hash "
-            f"({digest[:12]}… != {str(manifest.get('blob_sha256'))[:12]}…)"
+            f"({digest[:12]}… != {manifest['blob_sha256'][:12]}…)"
         )
     try:
         state = pickle.loads(blob)
@@ -157,12 +177,12 @@ def restore_snapshot(manifest: dict[str, Any], blob: bytes) -> dict[str, Any]:
     if not isinstance(state, dict) or "structure" not in state:
         raise StorageError("snapshot blob holds no deployment state")
     restored = _fingerprint(state["structure"])
-    expected = manifest.get("fingerprint")
+    expected = manifest["fingerprint"]
     if restored != expected:
         diffs = sorted(
             key
-            for key in set(restored) | set(dict(expected or {}))
-            if restored.get(key) != (expected or {}).get(key)
+            for key in set(restored) | set(expected)
+            if restored.get(key) != expected.get(key)
         )
         raise StorageError(
             "restored snapshot diverges from its manifest fingerprint "

@@ -11,7 +11,8 @@ duplicate does.  These tests turn the races into regression tests:
   exactly one insert failed typed, instead of raising out of the batch;
 * ordered baselines keep one copy of the key (65 keys, not 66);
 * the static Chord DHT reports every update ``unsupported``;
-* a journaled cluster recovers to the state the live one holds;
+* a journaled cluster recovers to the state the live one holds, also
+  when a bucket skip graph's walk loses the key it stands on;
 * ``POST /batch`` answers 200 with the typed per-handle failure.
 
 Each race asserts that the losing update paid for its search, i.e. that
@@ -147,6 +148,27 @@ class TestBucketSkipGraph:
         assert [handle.status for handle in handles] == ["ok", "ok", "failed"]
         assert isinstance(handles[2].error, UpdateError)
         assert _stored(cluster, "bucket-skipgraph") == (63, 63)
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "storage"])
+    def test_delete_delete_when_the_key_goes_mid_walk(self, tmp_path, journaled):
+        # The winner deletes the key the loser's walk stands on; the walk
+        # retries and the loser fails its commit-point check, typed.
+        keys = uniform_keys(32, seed=30)
+        doomed = 641578.153775
+        assert doomed in keys
+        store = str(tmp_path / "race.jsonl") if journaled else None
+        cluster = Cluster("bucket-skipgraph", items=keys, seed=30, storage=store)
+        handles = list(cluster.batch([("delete", doomed), ("delete", doomed)]))
+        _assert_one_loser(handles, (0, 1))
+        assert _stored(cluster, "bucket-skipgraph") == (31, 31)
+        if journaled:
+            live = content_digest(cluster.structure)
+            stats = cluster.stats().as_dict()
+            cluster.close()
+            recovered = Cluster.recover(store)
+            assert content_digest(recovered.structure) == live
+            assert recovered.stats().as_dict() == stats
+            recovered.close()
 
 
 class TestStaticChord:

@@ -6,28 +6,28 @@ registered structure families (the recovery-gate CI job enforces the
 same property end-to-end through the CLI with a real SIGKILL).
 """
 
-import copyreg
-import io
+import base64
+import fractions
+import hashlib
 import json
+import math
+import operator
 import os
 import pickle
-import pickletools
 import random
 import sqlite3
-from dataclasses import fields
+import zlib
 
 import pytest
 
-from repro.api import Cluster, FaultPlan, available_structures
-from repro.core.skipweb import SkipWeb, SkipWebRecord
-from repro.engine import BatchExecutor, run_immediate
-from repro.errors import FaultInjectedError, ReproError, StorageError
-from repro.net.faults import drop
-from repro.net.message import MessageKind, MessageLog
-from repro.net.network import Network, RoundReport
+from repro.api import Cluster, available_structures
+from repro.core.ranges import Interval
+from repro.errors import StorageError
+from repro.net.network import Network
 from repro.onedim import SkipWeb1D
-from repro.planar.segments import bounding_box
-from repro.spatial import HyperCube
+from repro.planar.segments import Segment, bounding_box
+from repro.planar.skip_trapezoid import Window
+from repro.spatial import Box, HyperCube
 from repro.storage import (
     FORMAT_VERSION,
     JsonlStorage,
@@ -39,7 +39,8 @@ from repro.storage import (
     encode_record,
     open_storage,
 )
-from repro.storage import snapshot as snapshot_module
+from repro.strings.alphabet import Alphabet
+from repro.strings.skip_trie import PrefixRange
 from repro.storage.workload import (
     _run_step,
     report_json,
@@ -145,251 +146,109 @@ class TestKillAndRecoverEveryFamily:
         assert resumed == baseline
 
 
-class TestRetiredConfigKeys:
-    """Stores written with a retired config key still recover.
+def _draw_key(rng):
+    return round(rng.uniform(0, 1e6), 6)
 
-    Older builds recorded a ``workers`` count, and the message substrate
-    as a ``trace`` flag, in the journal's create record and in every
-    snapshot's config.  Recovery must ignore the keys and land on the
-    state a store without them recovers to.
-    """
 
-    @staticmethod
-    def _run(store):
-        cluster = Cluster(
-            structure="skipweb1d", items=KEYS, seed=3, storage=store, snapshot_every=2
+def _draw_point(rng):
+    return (round(rng.random(), 9), round(rng.random(), 9))
+
+
+def _draw_word(rng):
+    return "".join(rng.choice("abcdef") for _ in range(rng.randint(3, 8)))
+
+
+def _family_inputs():
+    """(items, options, draw an item or None for search-only, draw a query) per skip-web family."""
+    segments = x_disjoint_segments(24, seed=5)
+    x_low, x_high, y_low, y_high = bounding_box(segments, margin=1.0)
+    return {
+        "skipweb1d": (uniform_keys(48, seed=5), {}, _draw_key, _draw_key),
+        "skipquadtree": (
+            uniform_points(48, seed=5),
+            {"bounding_cube": HyperCube((0.0, 0.0), 1.0)},
+            _draw_point,
+            _draw_point,
+        ),
+        "skiptrie": (random_strings(48, seed=5), {}, _draw_word, _draw_word),
+        "skiptrapezoid": (
+            segments,
+            {},
+            None,
+            lambda rng: (rng.uniform(x_low, x_high), rng.uniform(y_low, y_high)),
+        ),
+    }
+
+
+def _operation_stream(items, draw, seed, count):
+    """A seeded search/insert/delete stream over the live item set."""
+    rng = random.Random(seed)
+    live = list(items)
+    operations = []
+    for _ in range(count):
+        kind = rng.choice(("search", "search", "insert", "delete"))
+        if kind == "insert":
+            item = draw(rng)
+            while item in live:
+                item = draw(rng)
+            live.append(item)
+        elif kind == "delete":
+            item = live.pop(rng.randrange(len(live)))
+        else:
+            item = draw(rng)
+        operations.append((kind, item))
+    return operations
+
+
+def _run_stream(cluster, operations):
+    calls = {"search": cluster.nearest, "insert": cluster.insert, "delete": cluster.delete}
+    handles = [calls[kind](item) for kind, item in operations]
+    return [(h.kind, h.status, h.value, h.messages, h.rounds) for h in handles]
+
+
+def _records(cluster):
+    web = cluster.structure
+    fields = {}
+    for entry, address in web._address_of.items():
+        record = web.network.load(address, check_alive=False)
+        fields[entry] = (
+            address,
+            record.unit,
+            record.neighbors,
+            record.down_units,
+            record.down_addresses,
         )
-        cluster.batch([("search", float(i)) for i in range(8)])
-        cluster.batch([("insert", 1.5)])
-        cluster.batch([("delete", KEYS[0])])
-        cluster.close()
-
-    @classmethod
-    def _recovers_like_a_plain_store(cls, tmp_path, monkeypatch, from_snapshot, retired):
-        plain, legacy = str(tmp_path / "plain.jsonl"), str(tmp_path / "legacy.jsonl")
-        cls._run(plain)
-        create, config = Cluster._create_payload, Cluster._snapshot_config
-        monkeypatch.setattr(
-            Cluster, "_create_payload", lambda self, items: {**create(self, items), **retired}
-        )
-        monkeypatch.setattr(Cluster, "_snapshot_config", lambda self: {**config(self), **retired})
-        cls._run(legacy)
-        monkeypatch.undo()
-        backend = open_storage(legacy)
-        payload = backend.records()[0].payload
-        assert {key: payload[key] for key in retired} == retired
-        assert backend.latest_snapshot() is not None
-        backend.close()
-        if not from_snapshot:
-            for store in (plain, legacy):
-                for name in os.listdir(store):
-                    if name != "log.jsonl":
-                        os.remove(os.path.join(store, name))
-        expected = Cluster.recover(plain)
-        recovered = Cluster.recover(legacy)
-        assert content_digest(recovered.structure) == content_digest(expected.structure)
-        assert recovered.stats().as_dict() == expected.stats().as_dict()
-        expected.close()
-        recovered.close()
-
-    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
-    def test_workers_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot):
-        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"workers": 2})
-
-    @pytest.mark.parametrize("trace", [True, False])
-    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
-    def test_trace_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot, trace):
-        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"trace": trace})
-
-    @pytest.mark.parametrize("mode", ["immediate", "batched"])
-    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
-    def test_mode_key_is_ignored(self, tmp_path, monkeypatch, from_snapshot, mode):
-        self._recovers_like_a_plain_store(tmp_path, monkeypatch, from_snapshot, {"mode": mode})
-
-
-#: Message kind the retired immediate path charged per operation kind.
-_LEGACY_KIND = {
-    "search": MessageKind.QUERY,
-    "range": MessageKind.QUERY,
-    "insert": MessageKind.UPDATE,
-    "delete": MessageKind.UPDATE,
-}
-
-
-class TestRetiredImmediateMode:
-    """Journals of the retired ``Cluster(mode="immediate")`` still recover.
-
-    That mode ran each single operation as a structure-level walk
-    (``run_immediate``, with a fault plan deciding every send as it
-    happened and a drop restarting the walk at once) and journaled it as
-    a ``single`` record.  Recovery now replays those records as one-op
-    batches.  The live run is rebuilt here the way the retired mode ran
-    it, so the recovered state can be compared against it; where the two
-    paths could diverge, recovery must refuse the store up front.
-    """
-
-    @staticmethod
-    def _legacy_single(cluster, kind, payload):
-        origin = cluster.executor.alive_origins()[0]
-        steps = getattr(cluster.structure, f"{kind}_steps")
-        retries = 0
-        while True:
-            try:
-                run_immediate(
-                    cluster.network, steps(payload, origin), origin, kind=_LEGACY_KIND[kind]
-                )
-            except FaultInjectedError:
-                if retries < cluster._max_retries:
-                    retries += 1
-                    continue
-            except ReproError:
-                pass
-            break
-        cluster._durability.record_action(
-            "single", {"kind": kind, "payload": payload, "origin_host": None}
-        )
-
-    @staticmethod
-    def _singles(count=40, ranges=False, seed=5):
-        rng = random.Random(seed)
-        keys = list(KEYS)
-        kinds = ["search", "search", "insert", "delete"] + (["range"] if ranges else [])
-        operations = []
-        for _ in range(count):
-            kind = rng.choice(kinds)
-            if kind == "delete":
-                payload = keys.pop(rng.randrange(len(keys)))
-            elif kind == "range":
-                low = rng.uniform(0.0, 1_000_000.0)
-                payload = (low, low + 300_000.0)
-            else:
-                payload = rng.uniform(0.0, 1_000_000.0)
-                if kind == "insert":
-                    keys.append(payload)
-            operations.append((kind, payload))
-        return operations
-
-    @classmethod
-    def _legacy_store(cls, tmp_path, monkeypatch, singles, save_at=None, **kwargs):
-        """Write a retired-mode store; return it with the live state.
-
-        ``save_at`` snapshots the cluster after that many singles.
-        """
-        store = str(tmp_path / "legacy.jsonl")
-        create = Cluster._create_payload
-        monkeypatch.setattr(
-            Cluster,
-            "_create_payload",
-            lambda self, items: {**create(self, items), "mode": "immediate"},
-        )
-        cluster = Cluster(structure="skipweb1d", items=KEYS, seed=3, storage=store, **kwargs)
-        monkeypatch.undo()
-        for index, (kind, payload) in enumerate(singles):
-            if index == save_at:
-                cluster.save()
-            cls._legacy_single(cluster, kind, payload)
-        if save_at == len(singles):
-            cluster.save()
-        cluster.batch([("search", float(i) * 37_000.0) for i in range(8)])
-        log = cluster.network.message_log
-        live = (
-            content_digest(cluster.structure),
-            cluster.stats().as_dict(),
-            (log.dropped, log.duplicated, log.delayed),
-        )
-        cluster.close()
-        return store, live
-
-    @staticmethod
-    def _recovered(store):
-        recovered = Cluster.recover(store)
-        log = recovered.network.message_log
-        state = (
-            content_digest(recovered.structure),
-            recovered.stats().as_dict(),
-            (log.dropped, log.duplicated, log.delayed),
-        )
-        return recovered, state
-
-    @pytest.mark.parametrize("faults", [None, "lossy", "flaky"])
-    def test_singles_recover_to_the_live_state(self, tmp_path, monkeypatch, faults):
-        store, live = self._legacy_store(tmp_path, monkeypatch, self._singles(), faults=faults)
-        backend = open_storage(store)
-        kinds = [record.kind for record in backend.records()]
-        backend.close()
-        assert kinds.count("single") == 40 and kinds.count("batch") == 1
-        if faults is not None:
-            assert any(live[2]), "the fault plan never fired"
-        recovered, state = self._recovered(store)
-        assert state == live
-        recovered.close()
-
-    def test_range_singles_recover_without_a_fault_plan(self, tmp_path, monkeypatch):
-        singles = self._singles(ranges=True)
-        assert any(kind == "range" for kind, _ in singles)
-        store, live = self._legacy_store(tmp_path, monkeypatch, singles)
-        recovered, state = self._recovered(store)
-        assert state == live
-        recovered.close()
-
-    def test_a_single_record_replays_as_a_one_op_batch(self, tmp_path, monkeypatch):
-        store, live = self._legacy_store(tmp_path, monkeypatch, self._singles(count=6))
-        sizes = []
-        run = BatchExecutor.run
-        monkeypatch.setattr(
-            BatchExecutor, "run", lambda self, ops: sizes.append(len(ops)) or run(self, ops)
-        )
-        recovered, state = self._recovered(store)
-        monkeypatch.undo()
-        assert state == live
-        assert sizes == [1] * 6 + [8]
-        # Singles after recovery are journaled as batches, never as singles.
-        assert recovered.get(KEYS[1]).ok
-        recovered.close()
-        backend = open_storage(store)
-        last = backend.records()[-1]
-        backend.close()
-        assert last.kind == "batch"
-        assert last.payload == {"operations": [("search", KEYS[1], None)]}
-
-    @pytest.mark.parametrize(
-        "kwargs, ranges, reason",
-        [
-            (dict(faults="blackout"), False, "a fault plan that reads the round clock"),
-            (
-                dict(faults=FaultPlan([drop(0.1, window=(0, 400))], seed=3)),
-                False,
-                "a fault plan that reads the round clock",
-            ),
-            (dict(round_budget=1_000), False, "a round budget"),
-            (dict(faults="lossy"), True, "range singles under a fault plan"),
-        ],
-        ids=["blackout", "window", "round-budget", "lossy-ranges"],
-    )
-    @pytest.mark.parametrize("from_snapshot", [False, True], ids=["genesis", "snapshot"])
-    def test_stores_that_could_diverge_are_refused(
-        self, tmp_path, monkeypatch, kwargs, ranges, reason, from_snapshot
-    ):
-        # A snapshot taken before the singles leaves them in the replayed tail.
-        store, _live = self._legacy_store(
-            tmp_path, monkeypatch, self._singles(ranges=ranges), save_at=0, **kwargs
-        )
-        with pytest.raises(StorageError, match=f"retired mode 'immediate' with {reason}"):
-            Cluster.recover(store, from_snapshot=from_snapshot)
-
-    def test_a_snapshot_past_the_singles_recovers(self, tmp_path, monkeypatch):
-        singles = self._singles()
-        store, live = self._legacy_store(
-            tmp_path, monkeypatch, singles, save_at=len(singles), faults="blackout"
-        )
-        with pytest.raises(StorageError, match="retired mode 'immediate'"):
-            Cluster.recover(store, from_snapshot=False)
-        recovered, state = self._recovered(store)
-        assert state == live
-        recovered.close()
+    return fields
 
 
 class TestSaveAndLoad:
+    @pytest.mark.parametrize("family", ["skipquadtree", "skiptrapezoid", "skiptrie", "skipweb1d"])
+    def test_recovers_like_a_never_snapshotted_twin(self, family, tmp_path):
+        items, options, draw_item, draw_query = _family_inputs()[family]
+        store = str(tmp_path / "saved.jsonl")
+        saved = Cluster(family, items, seed=SEED, storage=store, **options)
+        twin = Cluster(family, items, seed=SEED, **options)
+        if draw_item is None:
+            rng = random.Random(SEED)
+            operations = [("search", draw_query(rng)) for _ in range(40)]
+        else:
+            operations = _operation_stream(items, draw_item, seed=SEED, count=40)
+        warm_up, stream = operations[:20], operations[20:]
+        assert _run_stream(saved, warm_up) == _run_stream(twin, warm_up)
+        saved.save()
+        saved.close()
+
+        restored = Cluster.recover(store)
+        assert type(restored.structure) is type(twin.structure)
+        restored.structure.validate()
+        assert _records(restored) == _records(twin)
+        assert restored.stats().as_dict() == twin.stats().as_dict()
+        assert _run_stream(restored, stream) == _run_stream(twin, stream)
+        assert _records(restored) == _records(twin)
+        assert content_digest(restored.structure) == content_digest(twin.structure)
+        restored.close()
+        twin.close()
+
     def test_save_then_load_restores_state(self, tmp_path):
         cluster, store = _journaled_cluster(tmp_path)
         cluster.batch([("search", 123.0), ("insert", 1.5)])
@@ -473,287 +332,6 @@ class TestSaveAndLoad:
         recovered = Cluster.recover(store)
         assert recovered.applied_operations == 4  # create + 3 batches
         recovered.close()
-
-
-class _DataclassRecordPickler(pickle.Pickler):
-    """Pickles skip-web records as they pickled while they were dataclasses.
-
-    That state is the record's ``__dict__``: a list of (unit, address)
-    hyperlinks, a dict of key -> (range, address) neighbours and the
-    query walk's key -> range cache, which visited records carried.
-    """
-
-    def reducer_override(self, obj):
-        if type(obj) is not SkipWebRecord:
-            return NotImplemented
-        table = obj.neighbors
-        neighbors = {
-            key: (rng, address) for key, rng, address in zip(table[::3], table[1::3], table[2::3])
-        }
-        cached = {key: rng for key, (rng, _address) in neighbors.items()}
-        state = {
-            "level": obj.level,
-            "prefix": obj.prefix,
-            "unit": obj.unit,
-            "down_links": list(zip(obj.down_units, obj.down_addresses)),
-            "neighbors": neighbors,
-            "neighbor_ranges": cached if obj.level % 2 else None,
-        }
-        return copyreg.__newobj__, (SkipWebRecord,), state
-
-
-class _DataclassRecordPickle:
-    """The ``pickle`` module as the snapshot codec sees it, with old-style records."""
-
-    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
-    loads = staticmethod(pickle.loads)
-
-    @staticmethod
-    def dumps(obj, protocol=None):
-        buffer = io.BytesIO()
-        _DataclassRecordPickler(buffer, protocol).dump(obj)
-        return buffer.getvalue()
-
-
-def _legacy_inputs():
-    cube = {"bounding_cube": HyperCube((0.0, 0.0), 1.0)}
-    return {
-        "skipweb1d": (uniform_keys(48, seed=5), {}, lambda rng: round(rng.uniform(0, 1e6), 6)),
-        "skipquadtree": (
-            uniform_points(48, seed=5),
-            cube,
-            lambda rng: (round(rng.random(), 9), round(rng.random(), 9)),
-        ),
-        "skiptrie": (
-            random_strings(48, seed=5),
-            {},
-            lambda rng: "".join(rng.choice("abcdef") for _ in range(rng.randint(3, 8))),
-        ),
-    }
-
-
-def _operation_stream(items, draw, seed, count):
-    """A seeded search/insert/delete stream over the live item set."""
-    rng = random.Random(seed)
-    live = list(items)
-    operations = []
-    for _ in range(count):
-        kind = rng.choice(("search", "search", "insert", "delete"))
-        if kind == "insert":
-            item = draw(rng)
-            while item in live:
-                item = draw(rng)
-            live.append(item)
-        elif kind == "delete":
-            item = live.pop(rng.randrange(len(live)))
-        else:
-            item = draw(rng)
-        operations.append((kind, item))
-    return operations
-
-
-def _run_stream(cluster, operations):
-    calls = {"search": cluster.nearest, "insert": cluster.insert, "delete": cluster.delete}
-    handles = [calls[kind](item) for kind, item in operations]
-    return [(h.kind, h.status, h.value, h.messages, h.rounds) for h in handles]
-
-
-def _records(cluster):
-    web = cluster.structure
-    fields = {}
-    for entry, address in web._address_of.items():
-        record = web.network.load(address, check_alive=False)
-        fields[entry] = (
-            address,
-            record.unit,
-            record.neighbors,
-            record.down_units,
-            record.down_addresses,
-        )
-    return fields
-
-
-class TestDataclassRecordSnapshot:
-    """A snapshot pickled while records were dataclasses still restores."""
-
-    @pytest.mark.parametrize("family", ["skipquadtree", "skiptrie", "skipweb1d"])
-    def test_restores_like_a_never_snapshotted_twin(self, family, tmp_path, monkeypatch):
-        items, options, draw = _legacy_inputs()[family]
-        store = str(tmp_path / "legacy.jsonl")
-        legacy = Cluster(family, items, seed=SEED, storage=store, **options)
-        twin = Cluster(family, items, seed=SEED, storage=str(tmp_path / "twin.jsonl"), **options)
-        operations = _operation_stream(items, draw, seed=SEED, count=60)
-        warm_up, stream = operations[:20], operations[20:]
-        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
-
-        monkeypatch.setattr(snapshot_module, "pickle", _DataclassRecordPickle)
-        legacy.save()
-        monkeypatch.undo()
-        backend = open_storage(store)
-        _manifest, blob = backend.latest_snapshot()
-        backend.close()
-        assert b"down_links" in blob and b"neighbor_ranges" in blob
-        legacy.close()
-
-        restored = Cluster.recover(store)
-        web = restored.structure
-        record = web.network.load(next(iter(web._address_of.values())))
-        assert type(record) is SkipWebRecord and not hasattr(record, "__dict__")
-        assert _records(restored) == _records(twin)
-        assert content_digest(restored.structure) == content_digest(twin.structure)
-        assert _run_stream(restored, stream) == _run_stream(twin, stream)
-        assert content_digest(restored.structure) == content_digest(twin.structure)
-        restored.close()
-        twin.close()
-
-
-class _TracingNetworkPickler(pickle.Pickler):
-    """Pickles the network as it pickled while it had a tracing substrate.
-
-    That network carried its substrate switch and a tuple fast-path
-    queue, its message log a message list and a sequence counter, and
-    its round reports a per-host load dict.
-    """
-
-    def reducer_override(self, obj):
-        if type(obj) is Network:
-            state = {**obj.__getstate__(), "_trace": True, "_pending_fast": []}
-            return copyreg.__newobj__, (Network,), state
-        if type(obj) is MessageLog:
-            state = {**obj.__dict__, "_keep_messages": False, "_messages": [], "_seq": 0}
-            return copyreg.__newobj__, (MessageLog,), state
-        if type(obj) is RoundReport:
-            state = {field.name: getattr(obj, field.name) for field in fields(RoundReport)}
-            state["per_host"] = {obj.max_load_host: obj.max_load}
-            return copyreg.__newobj__, (RoundReport,), (None, state)
-        return NotImplemented
-
-
-class _TracingNetworkPickle(_DataclassRecordPickle):
-    @staticmethod
-    def dumps(obj, protocol=None):
-        buffer = io.BytesIO()
-        _TracingNetworkPickler(buffer, protocol).dump(obj)
-        return buffer.getvalue()
-
-
-class TestTracingNetworkSnapshot:
-    """A snapshot pickled while the network could trace still restores."""
-
-    def test_restores_like_a_never_snapshotted_twin(self, tmp_path, monkeypatch):
-        items, options, draw = _legacy_inputs()["skipweb1d"]
-        store = str(tmp_path / "legacy.jsonl")
-        legacy = Cluster("skipweb1d", items, seed=SEED, storage=store, **options)
-        twin = Cluster("skipweb1d", items, seed=SEED, **options)
-        operations = _operation_stream(items, draw, seed=SEED, count=40)
-        warm_up, stream = operations[:20], operations[20:]
-        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
-        reports = twin.network.round_reports
-        assert reports
-
-        monkeypatch.setattr(snapshot_module, "pickle", _TracingNetworkPickle)
-        legacy.save()
-        monkeypatch.undo()
-        backend = open_storage(store)
-        _manifest, blob = backend.latest_snapshot()
-        backend.close()
-        assert b"_pending_fast" in blob and b"per_host" in blob
-        legacy.close()
-
-        restored = Cluster.recover(store)
-        assert not hasattr(restored.network, "_trace")
-        assert not hasattr(restored.network.message_log, "_messages")
-        assert restored.network.round_reports == reports
-        assert restored.stats().as_dict() == twin.stats().as_dict()
-        assert _run_stream(restored, stream) == _run_stream(twin, stream)
-        assert content_digest(restored.structure) == content_digest(twin.structure)
-        restored.close()
-
-
-class _WrappedWebPickler(pickle.Pickler):
-    """Pickles the four skip-web families as they pickled while they wrapped one.
-
-    Each family then held a generic ``SkipWeb`` in ``.web`` and kept only
-    its domain attribute (bounding cube, alphabet or box) beside it.
-    """
-
-    DOMAIN_ATTRIBUTES = ("bounding_cube", "alphabet", "box")
-
-    def reducer_override(self, obj):
-        if not isinstance(obj, SkipWeb) or type(obj) is SkipWeb:
-            return NotImplemented
-        web = SkipWeb.__new__(SkipWeb)
-        state = {}
-        for name, value in vars(obj).items():
-            if name in self.DOMAIN_ATTRIBUTES:
-                state[name] = value
-            else:
-                setattr(web, name, value)
-        state["web"] = web
-        return copyreg.__newobj__, (type(obj),), state
-
-
-class _WrappedWebPickle(_DataclassRecordPickle):
-    @staticmethod
-    def dumps(obj, protocol=None):
-        buffer = io.BytesIO()
-        _WrappedWebPickler(buffer, protocol).dump(obj)
-        return buffer.getvalue()
-
-
-def _wrapped_inputs():
-    """(items, options, draw an item or None for search-only, draw a query) per family."""
-    inputs = {
-        family: (items, options, draw, draw)
-        for family, (items, options, draw) in _legacy_inputs().items()
-    }
-    segments = x_disjoint_segments(24, seed=5)
-    x_low, x_high, y_low, y_high = bounding_box(segments, margin=1.0)
-    inputs["skiptrapezoid"] = (
-        segments,
-        {},
-        None,
-        lambda rng: (rng.uniform(x_low, x_high), rng.uniform(y_low, y_high)),
-    )
-    return inputs
-
-
-class TestWrappedWebSnapshot:
-    """A snapshot pickled while the families wrapped a ``SkipWeb`` still restores."""
-
-    @pytest.mark.parametrize("family", ["skipquadtree", "skiptrapezoid", "skiptrie", "skipweb1d"])
-    def test_restores_like_a_never_snapshotted_twin(self, family, tmp_path, monkeypatch):
-        items, options, draw_item, draw_query = _wrapped_inputs()[family]
-        store = str(tmp_path / "legacy.jsonl")
-        legacy = Cluster(family, items, seed=SEED, storage=store, **options)
-        twin = Cluster(family, items, seed=SEED, **options)
-        if draw_item is None:
-            rng = random.Random(SEED)
-            operations = [("search", draw_query(rng)) for _ in range(30)]
-        else:
-            operations = _operation_stream(items, draw_item, seed=SEED, count=30)
-        warm_up, stream = operations[:20], operations[20:]
-        assert _run_stream(legacy, warm_up) == _run_stream(twin, warm_up)
-
-        monkeypatch.setattr(snapshot_module, "pickle", _WrappedWebPickle)
-        legacy.save()
-        monkeypatch.undo()
-        backend = open_storage(store)
-        _manifest, blob = backend.latest_snapshot()
-        backend.close()
-        assert "web" in {argument for _opcode, argument, _at in pickletools.genops(blob)}
-        legacy.close()
-
-        restored = Cluster.recover(store)
-        assert type(restored.structure) is type(twin.structure)
-        assert "web" not in vars(restored.structure)
-        restored.structure.validate()
-        assert content_digest(restored.structure) == content_digest(twin.structure)
-        assert restored.stats().as_dict() == twin.stats().as_dict()
-        assert _run_stream(restored, stream) == _run_stream(twin, stream)
-        assert content_digest(restored.structure) == content_digest(twin.structure)
-        restored.close()
-        twin.close()
 
 
 class TestCorruption:
@@ -848,12 +426,115 @@ class TestCorruption:
             Cluster.recover(str(tmp_path / "empty.jsonl"))
 
 
+def _sealed(seq, kind, payload, version=FORMAT_VERSION):
+    """An encoded log record around a raw JSON ``payload``, with a valid checksum."""
+    text = json.dumps(payload, separators=(",", ":"))
+    crc = zlib.crc32(f"{version}:{seq}:{kind}:{text}".encode("ascii"))
+    return {"v": version, "seq": seq, "kind": kind, "payload": payload, "crc": crc}
+
+
+class _RaisesWhenUnpickled:
+    def __reduce__(self):
+        return operator.truediv, (1, 0)
+
+
+#: A version-1 payload: loading it would raise, so a refusal proves it came first.
+_V1_PICKLE = pickle.dumps(_RaisesWhenUnpickled())
+_V1_SKEW = r"version 1\b.*version 2\b"
+
+
 class TestRecordCodec:
     def test_round_trip(self):
-        original = LogRecord(3, "batch", {"operations": [("search", 1.0, None)]})
-        record = decode_record(encode_record(original), expected_seq=3)
+        payload = {
+            "operations": [["search", 1.0, None], ["insert", (0.25, 0.5), 3]],
+            "nested": ((1, (2.5, ("x", ()))), [(), [()]]),
+            "scalars": [math.inf, -math.inf, -0.0, 0, 1, True, None, "", "ünï"],
+            "types": [
+                Interval(-math.inf, math.inf),
+                Box((0.0, 0.0), (1.0, 2.0)),
+                HyperCube((0.0, -0.0), 1.0),
+                Segment((0.0, 0.0), (1.0, 1.0)),
+                Window(0.0, 1.0, -2.0, 2.0),
+                PrefixRange("ab"),
+                Alphabet("ab", ("a", "b")),
+            ],
+            "config": {"topology": None, "faults": {"rules": [{"window": [1, 2]}]}},
+        }
+        original = LogRecord(3, "batch", payload)
+        written = json.loads(json.dumps(encode_record(original)))
+        record = decode_record(written, expected_seq=3)
         assert record == original
         assert record.is_action
+        decoded = record.payload
+        assert [type(value) for value in decoded["scalars"]] == [
+            type(value) for value in payload["scalars"]
+        ]
+        assert [type(value) for value in decoded["types"]] == [
+            type(value) for value in payload["types"]
+        ]
+        assert math.copysign(1.0, decoded["scalars"][2]) == -1.0
+        assert math.copysign(1.0, decoded["types"][2].lower[1]) == -1.0
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"x": {"$Sphere": [1.0]}}, "unknown tag"),
+            ({"x": {"$Interval": [0.0]}}, "1 field"),
+            ({"x": {"$Interval": [0.0, 1.0, 2.0]}}, "3 field"),
+            ({"x": {"$Interval": [2.0, 1.0]}}, "invalid"),
+            ({"x": {"$tuple": 5}}, "not a list"),
+            ({"x": {"$tuple": [], "y": 1}}, "shares its object"),
+            ({"$tuple": []}, "not an object"),
+        ],
+    )
+    def test_malformed_tagged_payload_is_refused(self, payload, message):
+        with pytest.raises(StorageError, match=message):
+            decode_record(_sealed(0, "note", payload), expected_seq=0)
+
+    def test_a_kind_that_is_not_a_string_is_refused(self):
+        with pytest.raises(StorageError, match="not a string"):
+            decode_record(_sealed(0, ["batch"], {}), expected_seq=0)
+
+    def test_non_json_line_is_refused(self, tmp_path):
+        backend = JsonlStorage(str(tmp_path / "log"))
+        backend.append("note", {})
+        backend.close()
+        with open(os.path.join(backend.path, "log.jsonl"), "a") as fh:
+            fh.write("not json\n" + json.dumps(_sealed(2, "note", {})) + "\n")
+        with pytest.raises(StorageError, match="corruption.*unparseable") as excinfo:
+            backend.records()
+        assert excinfo.value.recoverable_records == 1
+
+    def test_an_unjournalable_operation_is_refused_before_it_runs(self, tmp_path):
+        cluster, store = _journaled_cluster(tmp_path)
+        with pytest.raises(StorageError, match="cannot journal"):
+            cluster.batch([("search", 123.0), ("insert", fractions.Fraction(5, 2))])
+        assert sorted(cluster.structure.keys) == sorted(KEYS)
+        digest = content_digest(cluster.structure)
+        stats = cluster.stats().as_dict()
+        cluster.close()
+        recovered = Cluster.recover(store)
+        assert content_digest(recovered.structure) == digest
+        assert recovered.stats().as_dict() == stats
+        recovered.close()
+
+    def test_an_unjournalable_bulk_load_is_refused_before_it_runs(self, tmp_path):
+        cluster = Cluster("skipweb1d", seed=3, storage=str(tmp_path / "log.jsonl"))
+        with pytest.raises(StorageError, match="cannot journal"):
+            cluster.bulk_load([1.0, fractions.Fraction(5, 2), 3.0])
+        assert cluster.bulk_load([1.0, 2.0, 3.0]).ok
+        cluster.close()
+
+    def test_unjournalable_values_are_refused_at_append(self, tmp_path):
+        backend = JsonlStorage(str(tmp_path / "log"))
+        for payload in ({"x": object()}, {"x": {1.5}}, {1: "key"}, {"$tuple": []}):
+            with pytest.raises(StorageError, match="cannot journal"):
+                backend.append("note", payload)
+        with pytest.raises(StorageError, match="must be a dict"):
+            backend.append("note", [1])
+        assert backend.record_count == 0
+        assert backend.records() == []
+        backend.close()
 
     def test_sequence_gap_is_detected(self):
         encoded = encode_record(LogRecord(3, "note", {}))
@@ -876,6 +557,193 @@ class TestRecordCodec:
         backend2.close()
         backend.close()
 
+
+def _edit_newest_manifest(store, edit):
+    """Apply ``edit`` to the stored manifest of the newest snapshot, in place."""
+    if store.endswith(".db"):
+        conn = sqlite3.connect(store)
+        with conn:
+            upto, text = conn.execute(
+                "SELECT upto, manifest FROM snapshots ORDER BY upto DESC LIMIT 1"
+            ).fetchone()
+            manifest = json.loads(text)
+            edit(manifest)
+            conn.execute(
+                "UPDATE snapshots SET manifest = ? WHERE upto = ?", (json.dumps(manifest), upto)
+            )
+        conn.close()
+        return
+    path = os.path.join(store, max(f for f in os.listdir(store) if f.startswith("snapshot-")))
+    with open(path) as fh:
+        document = json.load(fh)
+    edit(document["manifest"])
+    with open(path, "w") as fh:
+        json.dump(document, fh)
+
+
+class TestVersionOneRefusal:
+    """Stores written by format 1 are refused, typed, before any payload is decoded."""
+
+    def test_v1_payload_would_raise_if_loaded(self):
+        with pytest.raises(ZeroDivisionError):
+            pickle.loads(_V1_PICKLE)
+
+    @pytest.mark.parametrize("trim_torn_tail", [False, True])
+    def test_v1_log_line_is_refused(self, tmp_path, trim_torn_tail):
+        store = tmp_path / "v1"
+        store.mkdir()
+        blob = base64.b64encode(_V1_PICKLE).decode("ascii")
+        line = {
+            "v": 1,
+            "seq": 0,
+            "kind": "create",
+            "payload": blob,
+            "crc": zlib.crc32(f"1:0:create:{blob}".encode("ascii")),
+        }
+        (store / "log.jsonl").write_text(json.dumps(line) + "\n")
+        with pytest.raises(StorageError, match=_V1_SKEW) as excinfo:
+            Cluster.recover(str(store), trim_torn_tail=trim_torn_tail)
+        assert not excinfo.value.torn_tail
+        assert (store / "log.jsonl").read_text() == json.dumps(line) + "\n"
+
+    def test_v1_sqlite_store_is_refused(self, tmp_path):
+        store = str(tmp_path / "v1.sqlite")
+        conn = sqlite3.connect(store)
+        with conn:
+            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+            conn.execute(
+                "CREATE TABLE log (seq INTEGER PRIMARY KEY, v INTEGER, kind TEXT, "
+                "payload TEXT, crc INTEGER)"
+            )
+            conn.execute("INSERT INTO meta VALUES ('format_version', '1')")
+            blob = base64.b64encode(_V1_PICKLE).decode("ascii")
+            crc = zlib.crc32(f"1:0:create:{blob}".encode("ascii"))
+            conn.execute("INSERT INTO log VALUES (0, 1, 'create', ?, ?)", (blob, crc))
+        conn.close()
+        with pytest.raises(StorageError, match=_V1_SKEW):
+            Cluster.recover(store)
+
+    def test_v1_snapshot_manifest_is_refused(self, tmp_path):
+        cluster, store = _journaled_cluster(tmp_path)
+        cluster.close()
+        manifest = {
+            "format_version": 1,
+            "structure": "skipweb1d",
+            "upto": 1,
+            "actions": 1,
+            "blob_sha256": hashlib.sha256(_V1_PICKLE).hexdigest(),
+            "fingerprint": {},
+        }
+        backend = open_storage(store)
+        backend.write_snapshot(manifest, _V1_PICKLE)
+        backend.close()
+        with pytest.raises(StorageError, match=_V1_SKEW):
+            Cluster.recover(store)
+        with pytest.raises(StorageError, match=_V1_SKEW):
+            Cluster.load(store)
+
+
+_DELETE = object()
+
+
+class TestHostileStoreInput:
+    """Malformed manifests and CRC-valid but malformed records fail typed."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("upto", _DELETE),
+            ("upto", "x"),
+            ("upto", -1),
+            ("upto", True),
+            ("actions", _DELETE),
+            ("actions", 1.5),
+            ("structure", _DELETE),
+            ("structure", 7),
+            ("blob_sha256", None),
+            ("fingerprint", []),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["log.jsonl", "log.db"])
+    def test_malformed_manifest_is_refused(self, tmp_path, name, field, value):
+        cluster, store = _journaled_cluster(tmp_path, name=name)
+        cluster.batch([("search", 123.0)])
+        cluster.save()
+        cluster.close()
+
+        def edit(manifest):
+            if value is _DELETE:
+                del manifest[field]
+            else:
+                manifest[field] = value
+
+        _edit_newest_manifest(store, edit)
+        with pytest.raises(StorageError, match=field):
+            Cluster.recover(store)
+        with pytest.raises(StorageError, match=field):
+            Cluster.load(store)
+
+    @pytest.mark.parametrize(
+        "kind, payload, field",
+        [
+            ("batch", {}, "operations"),
+            ("batch", {"operations": 5}, "operations"),
+            ("batch", {"operations": [["search"]]}, r"operations\[0\]"),
+            ("batch", {"operations": [[1, 2.0, None]]}, r"operations\[0\]"),
+            ("churn", {"host": None}, "action"),
+            ("churn", {"action": "crash", "host": "h"}, "host"),
+            ("repair", {"host_ids": None}, "host_ids"),
+            ("membership", {"host": 3}, "event"),
+            ("bulk_load", {"items": 5}, "items"),
+            ("configure_churn", {"join_fraction": "x", "min_hosts": 2}, "join_fraction"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["log.jsonl", "log.db"])
+    def test_malformed_record_is_refused(self, tmp_path, name, kind, payload, field):
+        cluster, store = _journaled_cluster(tmp_path, name=name)
+        cluster.close()
+        backend = open_storage(store)
+        backend.append(kind, payload)
+        backend.append("note", {})  # keeps a trailing membership record committed
+        backend.close()
+        with pytest.raises(StorageError, match=rf"log record 1 \('{kind}'\).*{field}"):
+            Cluster.recover(store)
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("batch", {"operations": [["bogus", 1.0, None]]}),
+            ("batch", {"operations": [["delete", {"a": 1}, None]]}),
+            ("batch", {"operations": [["search", [1], None]]}),
+        ],
+    )
+    def test_a_record_the_cluster_refuses_fails_typed(self, tmp_path, kind, payload):
+        cluster, store = _journaled_cluster(tmp_path)
+        cluster.close()
+        backend = open_storage(store)
+        backend.append(kind, payload)
+        backend.close()
+        with pytest.raises(StorageError, match=rf"log record 1 \('{kind}'\) failed"):
+            Cluster.recover(store)
+
+    def test_a_create_record_the_cluster_refuses_fails_typed(self, tmp_path):
+        cluster, store = _journaled_cluster(tmp_path)
+        cluster.close()
+        backend = open_storage(store)
+        (create,) = backend.records()
+        backend.close()
+        backend = open_storage(str(tmp_path / "bad.jsonl"))
+        backend.append("create", {**create.payload, "topology": {"kind": "moebius"}})
+        backend.close()
+        with pytest.raises(StorageError, match=r"log record 0 \('create'\) failed"):
+            Cluster.recover(str(tmp_path / "bad.jsonl"))
+
+    def test_malformed_create_record_is_refused(self, tmp_path):
+        backend = open_storage(str(tmp_path / "log.jsonl"))
+        backend.append("create", {"structure": "skipweb1d"})
+        backend.close()
+        with pytest.raises(StorageError, match=r"log record 0 \('create'\).*'items'"):
+            Cluster.recover(str(tmp_path / "log.jsonl"))
 
 class TestGuards:
     def test_storage_refuses_external_network(self):
