@@ -45,7 +45,13 @@ from repro.api.results import (
 )
 from repro.engine.executor import BatchExecutor, Operation
 from repro.engine.repair import RepairEngine, RepairResult
-from repro.errors import ReproError, StorageError, StructureError, UnsupportedOperationError
+from repro.errors import (
+    ChurnError,
+    ReproError,
+    StorageError,
+    StructureError,
+    UnsupportedOperationError,
+)
 from repro.net.churn import ChurnController, ChurnEvent
 from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.faults import FaultPlan, faults_from_config, resolve_faults
@@ -83,6 +89,14 @@ def _canonical_kind(kind: str) -> str:
             f"{OPERATION_KINDS} (or an alias {tuple(_KIND_ALIASES)})"
         )
     return resolved
+
+
+def _check_churn_settings(join_fraction: float | None, min_hosts: int | None) -> None:
+    """Refuse what the churn controller would refuse, before it is kept or journaled."""
+    if join_fraction is not None and not 0.0 < join_fraction <= 1.0:
+        raise ChurnError(f"join_fraction must be in (0, 1], got {join_fraction}")
+    if min_hosts is not None and min_hosts < 1:
+        raise ChurnError(f"min_hosts must be at least 1, got {min_hosts}")
 
 
 class ClusterSession:
@@ -233,6 +247,7 @@ class Cluster:
         self._round_budget = round_budget
         self._max_retries = max_retries
         self._churn_rng = churn_rng
+        _check_churn_settings(join_fraction, min_hosts)
         self._join_fraction = join_fraction
         self._min_hosts = min_hosts
         self._structure: Any = None
@@ -343,6 +358,7 @@ class Cluster:
         The structure must be registered (its class resolvable by name)
         so the cluster knows its capabilities.
         """
+        _check_churn_settings(join_fraction, min_hosts)
         specs = list(structure_specs().values())
         # Exact class match first: subclass families (SkipNet under
         # SkipGraph, ...) must not resolve to their base family's spec.
@@ -603,6 +619,7 @@ class Cluster:
                 "churn from the recorded seed, so an external stream would "
                 "diverge on replay"
             )
+        _check_churn_settings(join_fraction, min_hosts)
         if rng is not None:
             self._churn_rng = rng
         if join_fraction is not None:

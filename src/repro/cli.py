@@ -41,8 +41,9 @@ flag without an experiment name implies ``faults``.
 
 ``serve`` hosts the :mod:`repro.server` HTTP/JSON service layer (the
 full ``Cluster`` operation surface, churn lifecycle, sessions and the
-live dashboard) on stdlib ``wsgiref``; ``hammer`` is its seeded load
-generator — see the "serving" option group.
+live dashboard) on one stdlib ``asyncio`` event loop, until Ctrl-C or
+SIGTERM (exit 0); ``hammer`` is its seeded load generator — see the
+"serving" option group.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """repro.server — the HTTP/JSON service layer over the cluster façade.
 
 Stdlib-only: :func:`create_app` builds the WSGI application,
-:mod:`repro.server.runner` hosts it on persistent HTTP/1.1 connections, and
+:mod:`repro.server.runner` hosts it on persistent HTTP/1.1 connections served
+from one asyncio event loop, and
 :func:`run_hammer` is the seeded load generator the CI serve-gate runs
 against it.  ``python -m repro.cli serve`` / ``hammer`` close the loop
 from the command line.
@@ -16,7 +17,7 @@ from repro.server.manager import (
     UnknownResourceError,
 )
 from repro.server.runner import (
-    ThreadingWSGIServer,
+    HttpServer,
     make_http_server,
     serve_background,
     serve_forever,
@@ -36,11 +37,11 @@ __all__ = [
     "STATUS_HTTP",
     "ClusterManager",
     "HammerReport",
+    "HttpServer",
     "JsonClient",
     "ReproApp",
     "ServedCluster",
     "ServedSession",
-    "ThreadingWSGIServer",
     "UnknownResourceError",
     "collect_stats",
     "create_app",

@@ -10,9 +10,11 @@ The service layer is a thin, honest shell around :class:`repro.api.Cluster`:
   byte-identical to a locally constructed one.
 * :class:`ServedCluster` wraps one cluster behind a **serialization
   lock**: every operation, batch, churn verb and dashboard read acquires
-  it, so concurrent HTTP workers interleave at *operation* granularity —
-  each request maps onto one :class:`~repro.engine.executor.BatchExecutor`
-  batch, never onto a torn half-operation.  (The engine measures
+  it, so threads sharing one manager interleave at *operation*
+  granularity — each request maps onto one
+  :class:`~repro.engine.executor.BatchExecutor` batch, never onto a torn
+  half-operation.  (The HTTP server runs every request on one event
+  loop, so there the lock is uncontended.  The engine measures
   concurrency *inside* a batch, via rounds; the lock only orders whole
   batches, exactly like the façade's own single-threaded contract.)
 * :class:`ServedSession` is a client-scoped measurement window: handle

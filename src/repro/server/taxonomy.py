@@ -82,9 +82,12 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Content Too Large",
+    414: "URI Too Long",
     422: "Unprocessable Entity",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
 }
 
 

@@ -1,7 +1,8 @@
 """The WSGI application: the full façade surface as JSON over HTTP.
 
 Pure stdlib (the app is a plain WSGI callable; :mod:`repro.server.runner`
-hosts it on ``wsgiref``).  The route table:
+hosts it on one asyncio event loop, framing HTTP/1.1 itself).  The route
+table:
 
 ====================================  =============================================
 ``GET /`` / ``GET /dashboard``        the live dashboard page (self-contained HTML)

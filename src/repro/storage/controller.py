@@ -112,7 +112,7 @@ class DurabilityController:
 
     def __init__(self, backend: StorageBackend, snapshot_every: int = 0) -> None:
         if snapshot_every < 0:
-            raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+            raise StorageError(f"snapshot_every must be >= 0, got {snapshot_every}")
         self.backend = backend
         self.snapshot_every = snapshot_every
         self.replaying = False

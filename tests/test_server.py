@@ -1,18 +1,23 @@
 """The HTTP/JSON service layer: routes, taxonomy, sessions, determinism.
 
 Most tests drive the WSGI app directly (no sockets) through a small
-in-process client; the end-to-end tests bind a real ``ThreadingWSGIServer``
-on an OS-assigned port and run the seeded hammer against it twice,
-asserting the byte-identity property the CI serve-gate enforces.
+in-process client; the end-to-end tests bind a real ``HttpServer`` (one
+asyncio event loop) on an OS-assigned port, frame HTTP/1.1 against it
+over raw sockets, and run the seeded hammer against it twice, asserting
+the byte-identity property the CI serve-gate enforces.
 """
 
 import http.client
 import io
 import json
+import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -569,8 +574,7 @@ class TestClusterClose:
 def served():
     """One app on a real socket for the whole class: ``(server, port)``.
 
-    Shared because ``server.shutdown()`` waits out a 0.5 s poll; tests
-    therefore compare ``connections_accepted`` before and after.
+    Shared, so tests compare ``connections_accepted`` before and after.
     """
     application = create_app(
         initial=[{"name": "default", "structure": "skipweb1d", "items": list(KEYS), "seed": 7}]
@@ -593,6 +597,16 @@ def exchange(port, request, timeout=5.0):
         except TimeoutError:
             return received, False
         return received, True
+
+
+def read_reply(stream):
+    """One HTTP reply off a buffered socket file: ``(status line, headers, body)``."""
+    status = stream.readline().decode("latin-1").rstrip("\r\n")
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers["content-length"]))
 
 
 class TestPersistentConnections:
@@ -703,13 +717,13 @@ class TestPersistentConnections:
     @pytest.mark.parametrize(
         ("head", "code"),
         [
-            # The stdlib answers these two HTTP/0.9 style: a page, no status line.
-            (b"NOT-HTTP\r\n\r\n", b"Error code: 400"),
-            (b"GET /healthz HTTP/9.9\r\n\r\n", b"Error code: 505"),
+            (b"NOT-HTTP\r\n\r\n", b"HTTP/1.1 400 "),
+            (b"GET /healthz HTTP/9.9\r\n\r\n", b"HTTP/1.1 505 "),
             (b"GET /a /b HTTP/1.1\r\n\r\n", b"HTTP/1.1 400 "),
             (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 200 + b"\r\n", b"HTTP/1.1 431 "),
+            (b"GET /healthz HTTP/1.1\r\nno colon\r\n\r\n", b"HTTP/1.1 400 "),
         ],
-        ids=["one-word", "version-9.9", "four-words", "200-headers"],
+        ids=["one-word", "version-9.9", "four-words", "200-headers", "header-without-colon"],
     )
     def test_a_head_that_does_not_parse_closes_the_connection(self, served, head, code):
         _server, port = served
@@ -718,6 +732,150 @@ class TestPersistentConnections:
         assert closed
         assert code in reply
         assert b'"clusters"' not in reply
+        # A status line, then a typed JSON body, as for every other error.
+        head_out, _, body = reply.partition(b"\r\n\r\n")
+        assert head_out.startswith(code) and b"\r\nConnection: close" in head_out
+        answer = json.loads(body)
+        assert answer["status"] == int(code.split()[1])
+        assert set(answer) == {"error", "message", "status"}
+
+    def test_pipelined_requests_get_their_replies_in_order(self, served):
+        server, port = served
+        accepted = server.connections_accepted
+        first = f"GET {self.GET_KEY} HTTP/1.1\r\nHost: x\r\n\r\n"
+        second = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall((first + second).encode("ascii"))
+            stream = sock.makefile("rb")
+            status, _headers, body = read_reply(stream)
+            assert status == "HTTP/1.1 200 OK" and json.loads(body)["payload"] == KEYS[3]
+            status, _headers, body = read_reply(stream)
+            assert status == "HTTP/1.1 200 OK" and json.loads(body)["status"] == "ok"
+            stream.close()
+        assert server.connections_accepted == accepted + 1
+
+    def test_a_head_split_across_sends_is_answered(self, served):
+        _server, port = served
+        request = f"GET {self.GET_KEY} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        pieces = [request[:9], request[9:30], request[30:]]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            for piece in pieces:
+                sock.sendall(piece.encode("ascii"))
+                time.sleep(0.05)
+            status, _headers, body = read_reply(sock.makefile("rb"))
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_expect_100_continue_is_answered_before_the_body(self, served):
+        _server, port = served
+        body = json.dumps({"payload": KEYS[3]}).encode("ascii")
+        head = (
+            f"POST /ops/get HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            stream = sock.makefile("rb")
+            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _headers, answer = read_reply(stream)
+            stream.close()
+        assert status == "HTTP/1.1 200 OK" and json.loads(answer)["payload"] == KEYS[3]
+
+    def test_a_body_that_stops_half_way_is_dropped_after_the_timeout(
+        self, served, monkeypatch
+    ):
+        _server, port = served
+        monkeypatch.setattr(runner, "IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            body = json.dumps({"payload": KEYS[3]}).encode("ascii")
+            head = f"POST /ops/get HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+            sock.sendall(head.encode("ascii") + body[: len(body) // 2])
+            started = time.monotonic()
+            assert sock.recv(65536) == b""  # EOF, and no reply before it
+            assert 0.1 < time.monotonic() - started < 3.0
+
+    def test_a_deep_pipeline_is_answered_in_order_without_starving_others(self, served):
+        server, port = served
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            # 200 requests written before a byte is read back.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 199)
+            sock.sendall(b"GET /no/such/route HTTP/1.1\r\nHost: x\r\n\r\n")
+            other = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            other.request("GET", "/healthz")
+            assert other.getresponse().status == 200
+            other.close()
+            stream = sock.makefile("rb")
+            statuses = [read_reply(stream)[0] for _ in range(200)]
+            stream.close()
+            assert statuses == ["HTTP/1.1 200 OK"] * 199 + ["HTTP/1.1 404 Not Found"]
+            # asyncio switches Nagle off on every accepted TCP socket.
+            nodelay = [
+                transport.get_extra_info("socket").getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                for transport in list(server._open)
+            ]
+            assert nodelay and all(nodelay)
+
+    def test_a_paused_writer_stops_serving_until_it_resumes(self, app):
+        """Backpressure: past the write buffer's high-water mark asyncio
+        calls ``pause_writing`` from inside ``write``; pipelined requests
+        then wait, and reading stops, until ``resume_writing``."""
+
+        class Transport:
+            def __init__(self):
+                self.writes, self.reading, self.protocol = [], True, None
+
+            def write(self, data):
+                self.writes.append(data)
+                if len(self.writes) == 1:
+                    self.protocol.pause_writing()
+
+            def pause_reading(self):
+                self.reading = False
+
+            def resume_reading(self):
+                self.reading = True
+
+            def get_extra_info(self, name, default=None):
+                return default
+
+            def abort(self):
+                pass
+
+        server = runner.make_http_server(app)
+        transport = Transport()
+        connection = transport.protocol = runner._Connection(server)
+        try:
+            connection.connection_made(transport)
+            connection.data_received(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 3)
+            assert len(transport.writes) == 1 and not transport.reading
+            connection.resume_writing()
+            assert len(transport.writes) == 3 and transport.reading
+            assert all(reply.startswith(b"HTTP/1.1 200 OK\r\n") for reply in transport.writes)
+        finally:
+            connection.connection_lost(None)
+            server.server_close()
+
+    def test_an_app_that_raises_gets_a_typed_500_and_a_closed_socket(self, capsys):
+        def broken(environ, start_response):
+            raise ZeroDivisionError("boom")
+
+        server, thread = serve_background(broken, "127.0.0.1", 0)
+        try:
+            request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            reply, closed = exchange(server.server_address[1], request * 2)
+        finally:
+            server.shutdown()
+            server.server_close()
+        thread.join(timeout=2.0)
+        assert closed and not thread.is_alive()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ") and b"\r\nConnection: close" in head
+        assert json.loads(body)["error"] == "InternalServerError"
+        assert "ZeroDivisionError: boom" in capsys.readouterr().err
 
     def test_an_idle_connection_is_dropped_after_the_timeout(self, served, monkeypatch):
         _server, port = served
@@ -769,7 +927,7 @@ class TestPersistentConnections:
         deadline = time.monotonic() + 5
         while server._open and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert server._open == set()  # every connection thread took its socket back out
+        assert server._open == set()  # every closed connection left the registry
 
     def test_shutdown_does_not_wait_for_idle_kept_alive_connections(self, app):
         server, thread = serve_background(app, "127.0.0.1", 0)
@@ -790,6 +948,39 @@ class TestPersistentConnections:
                 connection.request("GET", "/healthz")
                 connection.getresponse()
             connection.close()
+
+
+class TestServeProcess:
+    def test_sigterm_stops_the_server_cleanly(self, tmp_path):
+        """``repro.cli serve`` exits 0 on SIGTERM and hangs up on its clients."""
+        ready = tmp_path / "ready.txt"
+        src = Path(__file__).resolve().parent.parent / "src"
+        command = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
+        command += ["--ready-file", str(ready), "--items", "64", "--seed", "7"]
+        process = subprocess.Popen(
+            command,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (ready.exists() and ready.read_text().endswith("\n")):
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            host, _, port = ready.read_text().strip().rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                stream = sock.makefile("rb")
+                assert read_reply(stream)[0] == "HTTP/1.1 200 OK"
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=5) == 0
+                assert stream.read() == b""  # EOF on the kept-alive connection
+                stream.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
 
 
 class TestEndToEnd:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import Cluster, available_structures
 from repro.core.ranges import Interval
-from repro.errors import StorageError
+from repro.errors import ChurnError, StorageError
 from repro.net.network import Network
 from repro.onedim import SkipWeb1D
 from repro.planar.segments import Segment, bounding_box
@@ -738,6 +738,20 @@ class TestHostileStoreInput:
         with pytest.raises(StorageError, match=r"log record 0 \('create'\) failed"):
             Cluster.recover(str(tmp_path / "bad.jsonl"))
 
+    def test_a_negative_snapshot_every_is_refused_typed(self, tmp_path):
+        with pytest.raises(StorageError, match="snapshot_every"):
+            _journaled_cluster(tmp_path, snapshot_every=-1)
+        cluster, store = _journaled_cluster(tmp_path, name="good.jsonl")
+        cluster.close()
+        backend = open_storage(store)
+        (create,) = backend.records()
+        backend.close()
+        backend = open_storage(str(tmp_path / "bad.jsonl"))
+        backend.append("create", {**create.payload, "snapshot_every": -1})
+        backend.close()
+        with pytest.raises(StorageError, match="snapshot_every"):
+            Cluster.recover(str(tmp_path / "bad.jsonl"))
+
     def test_malformed_create_record_is_refused(self, tmp_path):
         backend = open_storage(str(tmp_path / "log.jsonl"))
         backend.append("create", {"structure": "skipweb1d"})
@@ -775,6 +789,32 @@ class TestGuards:
         with pytest.raises(StorageError, match="rng"):
             cluster.configure_churn(rng=random.Random(0))
         cluster.close()
+
+    @pytest.mark.parametrize("journaled", [False, True], ids=["plain", "storage"])
+    @pytest.mark.parametrize(
+        "settings",
+        [{"min_hosts": -1}, {"min_hosts": 0}, {"join_fraction": 0.0}, {"join_fraction": 1.5}],
+    )
+    def test_configure_churn_refuses_bad_settings_before_journaling(
+        self, tmp_path, journaled, settings
+    ):
+        if journaled:
+            cluster, store = _journaled_cluster(tmp_path)
+        else:
+            cluster, store = Cluster(structure="skipweb1d", items=KEYS, seed=3), None
+        with pytest.raises(ChurnError, match=next(iter(settings))):
+            cluster.configure_churn(**settings)
+        assert cluster.join_host().kind == "join"
+        cluster.close()
+        if store is not None:
+            backend = open_storage(store)
+            kinds = [record.kind for record in backend.records()]
+            backend.close()
+            assert "configure_churn" not in kinds and "churn" in kinds
+
+    def test_constructor_refuses_bad_churn_settings(self):
+        with pytest.raises(ChurnError, match="min_hosts"):
+            Cluster(structure="skipweb1d", items=KEYS, seed=3, min_hosts=0)
 
     def test_save_requires_storage(self):
         cluster = Cluster(structure="skipweb1d", items=KEYS, seed=3)
