@@ -11,7 +11,9 @@ such policies are provided:
 * :class:`OwnerBlocking` — place each unit on the host that owns one of
   the ground-set items it involves; mirrors how skip graphs store a key's
   whole tower at the key's home host, and is the policy under which the
-  congestion measure of §1.1 is most meaningful.
+  congestion measure of §1.1 is most meaningful.  A unit that involves
+  no item (a trapezoid bounded only by the frame) goes by a hash of its
+  key, as under :class:`HashBlocking`.
 
 The *bucketed* strategy of §2.4.1 (contiguous blocks of the linked list,
 with the conflicting ranges of the non-basic levels above stored on the
@@ -76,11 +78,13 @@ class HashBlocking(BlockingPolicy):
         self._host_ids = list(host_ids)
 
     def assign(self, level: int, prefix: BitPrefix, unit: RangeUnit) -> HostId:
-        digest = hashlib.blake2b(
-            repr((level, prefix, unit.key)).encode("utf8"), digest_size=8
-        ).digest()
-        index = int.from_bytes(digest, "big") % len(self._host_ids)
-        return self._host_ids[index]
+        return _stable_pick(repr((level, prefix, unit.key)), self._host_ids)
+
+
+def _stable_pick(text: str, host_ids: Sequence[HostId]) -> HostId:
+    """One of ``host_ids`` by a hash of ``text`` that no interpreter run salts."""
+    digest = hashlib.blake2b(text.encode("utf8"), digest_size=8).digest()
+    return host_ids[int.from_bytes(digest, "big") % len(host_ids)]
 
 
 class OwnerBlocking(BlockingPolicy):
@@ -90,30 +94,35 @@ class OwnerBlocking(BlockingPolicy):
     ----------
     item_owner:
         Mapping from ground-set item to its home host (the host that
-        "owns" the item, i.e. inserted it and starts queries about it).
+        "owns" the item: a skip-web gives a new item to its least-loaded
+        host, see :meth:`repro.core.skipweb.SkipWeb._least_loaded_host`).
     anchor:
         Function extracting a representative item from a unit.  The
         default understands the conventions used by the structures in
         this package: a node's payload is its item, a link's payload is a
         tuple of the items it connects.
     fallback:
-        Host used when no anchor item can be determined (e.g. sentinel
-        links of a sorted list).
+        Hosts for a unit with no anchor item (e.g. a trapezoid bounded
+        only by the frame): it goes to one of them by a stable hash of
+        its key, so such units spread evenly and every level's copy of
+        one lands on the same host.
     """
 
     def __init__(
         self,
         item_owner: dict[Any, HostId],
-        fallback: HostId,
+        fallback: Sequence[HostId],
         anchor: Callable[[RangeUnit], Any] | None = None,
     ) -> None:
         if not item_owner:
             raise ValueError("OwnerBlocking needs a non-empty item_owner mapping")
+        if not fallback:
+            raise ValueError("OwnerBlocking needs at least one fallback host")
         # Deliberately keep a reference (not a copy): the skip-web update
         # protocol registers newly inserted items in the same mapping so
-        # that their records are placed on the inserting host.
+        # that their records are placed on their owner's host.
         self._item_owner = item_owner
-        self._fallback = fallback
+        self._fallback = list(fallback)
         self._anchor = anchor or self._default_anchor
 
     def _default_anchor(self, unit: RangeUnit) -> Any:
@@ -137,10 +146,10 @@ class OwnerBlocking(BlockingPolicy):
         return None
 
     def assign(self, level: int, prefix: BitPrefix, unit: RangeUnit) -> HostId:
-        anchor_item = self._anchor(unit)
-        if anchor_item is None:
-            return self._fallback
-        return self._item_owner.get(anchor_item, self._fallback)
+        owner = self._item_owner.get(self._anchor(unit))
+        if owner is None:
+            return _stable_pick(repr(unit.key), self._fallback)
+        return owner
 
 
 def evenly_owned_items(items: Sequence[Any], host_ids: Sequence[HostId]) -> dict[Any, HostId]:

@@ -445,6 +445,14 @@ class RangeDeterminedLinkStructure(abc.ABC):
             raise StructureError(f"{self.name}: item {item!r} already present")
         return self._rebuilt(list(self.items) + [item])
 
+    def check_insert(self, item: Any) -> None:
+        """Raise :class:`StructureError` if ``item`` cannot join this structure.
+
+        Changes nothing.  A skip-web asks its level-0 structure before it
+        commits an insert, so an item no level can hold is refused before
+        any record moves.  Every item is admissible by default.
+        """
+
     def without_item(self, item: Any) -> "StructureDelta":
         """Turn this structure into ``D(S \\ {item})`` and report what changed.
 

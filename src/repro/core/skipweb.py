@@ -36,6 +36,7 @@ directly — see :mod:`repro.engine`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -60,7 +61,7 @@ from repro.core.range_query import (
 )
 from repro.engine.repair import MigrationSummary
 from repro.engine.steps import StepCursor, StepGenerator, local_steps
-from repro.errors import ChurnError, QueryError, StructureError
+from repro.errors import ChurnError, QueryError, StructureError, UpdateError
 from repro.net.congestion import CongestionReport, congestion_report
 from repro.net.naming import Address, HostId
 from repro.net.network import Network
@@ -129,6 +130,49 @@ def neighbor_table(structure: Any, key: Hashable, addresses: dict[Hashable, Addr
     return tuple(table)
 
 
+class _OwnerLoads:
+    """How many items each host that may own a new item owns, as a min-heap.
+
+    Entries are ``(count, host)``.  Every count change pushes one entry,
+    and an entry whose count is no longer its host's is stale: it is
+    dropped when it reaches the top, so the top live entry is the least
+    loaded host, lowest id first.  The heap is rebuilt from the counts
+    when stale entries outnumber live ones.  ``epoch`` is the network
+    membership epoch the host set was read at.
+    """
+
+    __slots__ = ("epoch", "_owned", "_hosts", "_heap")
+
+    def __init__(
+        self, owned: dict[HostId, dict[Any, None]], hosts: Iterable[HostId], epoch: int
+    ) -> None:
+        self.epoch = epoch
+        self._owned = owned
+        self._hosts = frozenset(hosts)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        owned = self._owned
+        self._heap = [(len(owned.get(host_id, ())), host_id) for host_id in self._hosts]
+        heapq.heapify(self._heap)
+
+    def note(self, host_id: HostId) -> None:
+        """Record that ``host_id``'s owned-item count changed."""
+        if host_id in self._hosts:
+            heapq.heappush(self._heap, (len(self._owned[host_id]), host_id))
+            if len(self._heap) > 2 * len(self._hosts) + 16:
+                self._rebuild()
+
+    def least_loaded(self) -> HostId | None:
+        heap, owned = self._heap, self._owned
+        while heap:
+            count, host_id = heap[0]
+            if len(owned.get(host_id, ())) == count:
+                return host_id
+            heapq.heappop(heap)
+        return None
+
+
 @dataclass
 class SkipWebConfig:
     """Construction parameters for a :class:`SkipWeb`.
@@ -178,6 +222,11 @@ class SkipWeb:
     config:
         See :class:`SkipWebConfig`.
     """
+
+    #: Owned-item counts of the hosts a new item may go to (see
+    #: :meth:`_least_loaded_host`).  Derived from ``_owned_by_host``: it
+    #: is never pickled, and ``None`` makes the next placement rebuild it.
+    _load_index: _OwnerLoads | None = None
 
     def __init__(
         self,
@@ -283,7 +332,7 @@ class SkipWeb:
         if blocking == "hash":
             return HashBlocking(self._host_ids)
         if blocking == "owner":
-            return OwnerBlocking(self._owners, fallback=self._host_ids[0])
+            return OwnerBlocking(self._owners, fallback=self._host_ids)
         raise ValueError(f"unknown blocking policy {blocking!r}")
 
     def _build(self) -> None:
@@ -323,16 +372,48 @@ class SkipWeb:
             owned.setdefault(owner, {})[item] = None
         return owned
 
+    def __getstate__(self) -> dict[str, Any]:
+        # The load index is derived from the ownership maps: a snapshot
+        # leaves it out, and the first insert after a restore rebuilds it.
+        state = self.__dict__.copy()
+        state.pop("_load_index", None)
+        return state
+
+    def _least_loaded_host(self) -> HostId:
+        """The host that owns a new item: the alive host owning the fewest.
+
+        Ties go to the lowest host id.  Candidates are the skip-web's own
+        hosts (a host that left or was repaired away is no longer one)
+        that have not failed.  The index is rebuilt, in O(H), only when
+        the network's membership epoch moved or the host list or the
+        ownership maps were reassigned; a choice otherwise costs
+        O(log H) amortised.
+        """
+        index = self._load_index
+        epoch = self.network.membership_epoch
+        if index is None or index.epoch != epoch:
+            alive = set(self.network.alive_host_ids())
+            candidates = [host_id for host_id in self._host_ids if host_id in alive]
+            index = self._load_index = _OwnerLoads(self._owned_by_host, candidates, epoch)
+        host_id = index.least_loaded()
+        if host_id is None:
+            raise UpdateError("no live host of the skip-web can own a new item")
+        return host_id
+
     def _record_owner(self, item: Any, host_id: HostId) -> None:
         """Register a newly inserted ``item`` as owned by ``host_id``."""
         self._owners[item] = host_id
         self._owned_by_host.setdefault(host_id, {})[item] = None
+        if self._load_index is not None:
+            self._load_index.note(host_id)
 
     def _forget_owner(self, item: Any) -> None:
         """Drop a deleted ``item`` from the ownership maps."""
         owner = self._owners.pop(item, None)
         if owner is not None:
             self._owned_by_host[owner].pop(item, None)
+            if self._load_index is not None:
+                self._load_index.note(owner)
 
     def _first_owned_word(self, host_id: HostId, fallback: BitPrefix) -> BitPrefix:
         """The membership word of the first item ``host_id`` owns, else ``fallback``."""
@@ -679,6 +760,7 @@ class SkipWeb:
             raise ChurnError("skip-web cannot lose its last live host")
         self._origins = tuple(self._host_ids)
         self._blocking = self._make_blocking_policy()
+        self._load_index = None
         self._layout_epoch += 1
         return self._host_ids
 
@@ -690,6 +772,7 @@ class SkipWeb:
                 self._owners[item] = pool[moved % len(pool)]
                 moved += 1
         self._owned_by_host = self._owned_items_by_host()
+        self._load_index = None
         for host_id in host_ids:
             self._set_root_word(host_id, None)
         return moved

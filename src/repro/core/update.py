@@ -349,6 +349,8 @@ def _meets(unit_range, ranges) -> bool:
 def _check_insert(skipweb, item: Any) -> None:
     if item in skipweb._membership:
         raise UpdateError(f"item {item!r} is already stored in the skip-web")
+    # Level 0 holds every item, so an item it refuses no level can hold.
+    skipweb._structures[(0, ())].check_insert(item)
 
 
 def _check_delete(skipweb, item: Any) -> None:
@@ -374,7 +376,16 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     the precondition is checked again there, after the search, because
     another update of the same item in the same batch may have
     committed while this one was searching.  Either check fails the
-    operation with :class:`UpdateError` and changes nothing.
+    operation with :class:`UpdateError` (or, for an item the level-0
+    structure cannot hold, :class:`~repro.errors.StructureError`) and
+    changes nothing.
+
+    ``origin_host`` is only where the search enters.  The new item is
+    owned by the least-loaded alive host, chosen at the commit point
+    (:meth:`~repro.core.skipweb.SkipWeb._least_loaded_host`); its
+    records are placed through the blocking policy, so under owner
+    blocking its level-0 units land on that host, and the propagation
+    pass bills the host like any other whose records changed.
     """
     _check_insert(skipweb, item)
 
@@ -385,13 +396,14 @@ def insert_steps(skipweb, item: Any, origin_host: HostId) -> StepGenerator:
     search_messages = search.messages
     start_host = search.hosts_visited[-1] if search.hosts_visited else origin_host
 
-    # Step 2 (the commit point): draw the membership word and register
-    # ownership.
+    # Step 2 (the commit point): choose the owner from live state, draw
+    # the membership word and register ownership.
     _check_insert(skipweb, item)
+    owner = skipweb._least_loaded_host()
     word = skipweb._membership.assign(item)
-    skipweb._record_owner(item, origin_host)
-    if origin_host not in skipweb._root_word_of_host:
-        skipweb._set_root_word(origin_host, word)
+    skipweb._record_owner(item, owner)
+    if owner not in skipweb._root_word_of_host:
+        skipweb._set_root_word(owner, word)
 
     # Step 3: update every level bottom-up, atomically.
     per_level_affected: list[set[HostId]] = []

@@ -207,6 +207,19 @@ class TrapezoidalMapStructure(RangeDeterminedLinkStructure):
     def build_params(self) -> dict[str, Any]:
         return {"box": self._box}
 
+    def check_insert(self, item: Any) -> None:
+        """Refuse a segment outside the box or out of general position with a stored one."""
+        x_min, x_max, _y_min, _y_max = self._box
+        if not (x_min <= item.x_min and item.x_max <= x_max):
+            raise StructureError(f"segment {item} outside bounding box {self._box}")
+        stored = self.map.segments
+        taken = {x for segment in stored for x in (segment.x_min, segment.x_max)}
+        if item.x_min in taken or item.x_max in taken:
+            raise StructureError(f"segment {item} shares an endpoint x-coordinate")
+        for segment in stored:
+            if item.crosses(segment):
+                raise StructureError(f"segments cross: {segment} and {item}")
+
     # ------------------------------------------------------------------ #
     # unit collection
     # ------------------------------------------------------------------ #

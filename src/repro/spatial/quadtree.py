@@ -71,6 +71,33 @@ def _without(points: tuple[Point, ...], position: int) -> tuple[Point, ...]:
     return points[:position] + points[position + 1 :]
 
 
+def _halvable(cube: HyperCube) -> bool:
+    """Whether floats can still split ``cube`` into its ``2^d`` children.
+
+    Below that size a child's lower corner rounds back onto its parent's
+    and the cells stop containing their points.
+    """
+    half = cube.side / 2
+    return half > 0 and all(low + half != low for low in cube.lower)
+
+
+def _separable(cube: HyperCube, p: Point, q: Point) -> bool:
+    """Whether a dyadic cell under ``cube`` splits ``p`` from ``q`` before floats stop halving."""
+    while _halvable(cube):
+        index = cube.child_index(p)
+        if index != cube.child_index(q):
+            return True
+        cube = cube.child(index)
+    return False
+
+
+def _inseparable(p: Point, q: Point, cube: HyperCube) -> StructureError:
+    return StructureError(
+        f"points {p} and {q} cannot be separated by any quadtree cell of {cube}: "
+        "the cell that would split them is below float resolution"
+    )
+
+
 class CompressedQuadtree:
     """A compressed quadtree / octree over a finite point set.
 
@@ -81,6 +108,11 @@ class CompressedQuadtree:
     bounding_cube:
         The root cell.  All points must lie inside it (the far faces are
         treated as closed so points on the boundary are accepted).
+
+    Two points that no dyadic cell of the bounding cube splits before
+    floats stop halving it cannot both be stored: construction and
+    :meth:`insert_point` refuse them with a :class:`StructureError`
+    naming both points, and an insert refuses before it changes anything.
     """
 
     def __init__(self, points: Sequence[Point], bounding_cube: HyperCube) -> None:
@@ -127,6 +159,10 @@ class CompressedQuadtree:
             split_cube = cube.smallest_enclosing_cell(points)
         else:
             split_cube = cell_cube
+        if not _halvable(split_cube):
+            # Every point here shares the descent down to a cell floats
+            # cannot split: any two of them are inseparable.
+            raise _inseparable(points[0], points[1], self.bounding_cube)
         cell = QuadtreeCell(cube=cell_cube, points=tuple(points))
         if is_root and split_cube != cell_cube:
             child = self._build(split_cube, points)
@@ -180,12 +216,7 @@ class CompressedQuadtree:
         :meth:`_build`, which is canonical by definition.
         """
         p = as_point(point)
-        if p in self._point_set:
-            raise StructureError(f"point {p} already stored")
-        if not self.bounding_cube.contains_closed(p):
-            raise StructureError(
-                f"point {p} lies outside the bounding cube {self.bounding_cube}"
-            )
+        self.check_insert(p)
         self._points = self._points + (p,)
         self._point_set.add(p)
         root = self.root
@@ -224,6 +255,33 @@ class CompressedQuadtree:
             return change
         self._insert_into_children(root, self.bounding_cube, p, change)
         return change
+
+    def check_insert(self, point: Point) -> None:
+        """Raise :class:`StructureError` if ``point`` cannot be inserted; change nothing.
+
+        Refused: a stored point, a point outside the bounding cube, and a
+        point no cell separates from a stored one.  Only the stored point
+        whose leaf the new point's descent reaches can be that one: two
+        inseparable points take the same child at every cell floats can
+        split, which every cell of the tree is.
+        """
+        p = as_point(point)
+        if p in self._point_set:
+            raise StructureError(f"point {p} already stored")
+        cube = self.bounding_cube
+        if not cube.contains_closed(p):
+            raise StructureError(f"point {p} lies outside the bounding cube {cube}")
+        cell = self.root
+        while cell.children:
+            index = cell.cube.child_index(p)
+            for child in cell.children:
+                if cell.cube.child_index(child.points[0]) == index:
+                    cell = child
+                    break
+            else:
+                return
+        if not _separable(cube, p, cell.points[0]):
+            raise _inseparable(p, cell.points[0], cube)
 
     def _rebuild_all(self) -> TreeChange:
         """Replace the whole tree by the canonical build over ``self._points``."""

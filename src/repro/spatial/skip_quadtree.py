@@ -109,6 +109,9 @@ class QuadtreeStructure(TreeLinkStructure):
         """
         return self._resync(self.tree.insert_point(as_point(item)))
 
+    def check_insert(self, item: Any) -> None:
+        self.tree.check_insert(as_point(item))
+
     def without_item(self, item: Any) -> StructureDelta:
         """``D(S \\ {x})`` via an in-place canonical tree removal."""
         point = as_point(item)

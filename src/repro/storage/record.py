@@ -32,10 +32,13 @@ from typing import Any
 from repro.errors import StorageError
 
 #: Version of the on-disk record + snapshot format.  Bumped on any
-#: incompatible change, including a change to a field a snapshot pickles;
-#: a record, store or snapshot of another version is refused with a
-#: :class:`~repro.errors.StorageError` (version skew) instead of guessed at.
-FORMAT_VERSION = 2
+#: incompatible change, including a change to a field a snapshot pickles
+#: and a change to what replaying a log builds (version 3: new items go
+#: to the least-loaded host, and a planar unit with no anchor segment is
+#: placed by a hash of its key); a record, store or snapshot of another
+#: version is refused with a :class:`~repro.errors.StorageError` (version
+#: skew) instead of guessed at.
+FORMAT_VERSION = 3
 
 #: Record kinds that mutate cluster state and are re-executed on replay.
 ACTION_KINDS = frozenset({"create", "bulk_load", "batch", "churn", "repair", "configure_churn"})

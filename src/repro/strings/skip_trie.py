@@ -27,6 +27,7 @@ from repro.core.query import QueryResult
 from repro.core.ranges import Range
 from repro.core.skipweb import SkipWeb, SkipWebConfig
 from repro.core.tree_structure import TreeChange, TreeLinkStructure
+from repro.errors import StructureError
 from repro.net.naming import HostId
 from repro.net.network import Network
 from repro.strings.alphabet import Alphabet, LOWERCASE
@@ -162,6 +163,12 @@ class TrieStructure(TreeLinkStructure):
         the ancestors they represent — are derived again.
         """
         return self._resync(self._with_represented(self.trie.insert(str(item))))
+
+    def check_insert(self, item: Any) -> None:
+        try:
+            self._alphabet.validate_string(str(item))
+        except ValueError as exc:
+            raise StructureError(str(exc)) from exc
 
     def without_item(self, item: Any) -> StructureDelta:
         """``D(S \\ {x})`` via an in-place canonical trie delete."""

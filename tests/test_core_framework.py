@@ -145,13 +145,21 @@ class TestBlocking:
 
     def test_owner_blocking_uses_item_owner(self):
         owners = {5.0: 2, 7.0: 3}
-        policy = OwnerBlocking(owners, fallback=0)
+        policy = OwnerBlocking(owners, fallback=[0])
         assert policy.assign(0, (), self._unit(5.0)) == 2
         assert policy.assign(0, (), self._unit("unknown")) == 0
 
+    def test_owner_blocking_hashes_anchorless_units(self):
+        """A unit with no owned item goes by a stable hash of its key, whatever its level."""
+        policy = OwnerBlocking({5.0: 2}, fallback=[0, 1, 2, 3])
+        units = [self._unit(f"frame-{index}") for index in range(64)]
+        hosts = [policy.assign(0, (), unit) for unit in units]
+        assert set(hosts) == {0, 1, 2, 3}
+        assert hosts == [policy.assign(3, (1, 0, 1), unit) for unit in units]
+
     def test_owner_blocking_tuple_payload(self):
         owners = {(0.5, 0.5): 4}
-        policy = OwnerBlocking(owners, fallback=1)
+        policy = OwnerBlocking(owners, fallback=[1])
         unit = RangeUnit(
             key="k", kind=UnitKind.LINK, range=Singleton(1), payload=((0.5, 0.5), None)
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StructureError
 from repro.onedim.linked_list import SortedListStructure, _link_key, _node_key
@@ -64,11 +64,13 @@ def assert_neighbors_match(structure, oracle) -> None:
         assert all(neighbor is structure.unit(neighbor.key) for neighbor in neighbors)
 
 
-def replay(structure, oracle, operations) -> None:
+def replay(structure, oracle, operations, refusable=lambda error, item, stored: False) -> None:
     """Apply ``(insert?, item, pick)`` steps in place, checking after each.
 
-    An insert of a stored item must be refused and change nothing; a
-    delete removes the ``pick``-th stored item unless only one is left.
+    An insert of a stored item must be refused and change nothing, and so
+    must an insert that ``refusable(error, item, stored)`` accepts the
+    refusal of; a delete removes the ``pick``-th stored item unless only
+    one is left.
     """
     assert_neighbors_match(structure, oracle)
     for insert, item, pick in operations:
@@ -77,7 +79,11 @@ def replay(structure, oracle, operations) -> None:
             with pytest.raises(StructureError):
                 structure.with_item(item)
         elif insert:
-            structure = structure.with_item(item).structure
+            try:
+                structure = structure.with_item(item).structure
+            except StructureError as error:
+                assert refusable(error, item, stored), error
+                assert list(structure.items) == stored
         elif len(stored) > 1:
             structure = structure.without_item(stored[pick % len(stored)]).structure
         assert_neighbors_match(structure, oracle)
@@ -120,14 +126,33 @@ class TestSortedList:
         replay(SortedListStructure(initial), old_list_adjacency, operations)
 
 
+def inseparable(error, item, stored) -> bool:
+    """Whether ``error`` refuses ``item`` for a stored point no cell can split from it.
+
+    It must name both points, and they must differ by less than any
+    cell of the unit square can resolve.
+    """
+    message = str(error)
+    return str(item) in message and any(
+        str(other) in message and all(abs(a - b) < 1e-15 for a, b in zip(item, other))
+        for other in stored
+    )
+
+
 class TestTrees:
     @settings(max_examples=60, deadline=None)
     @given(initial=st.lists(points, min_size=1, max_size=12), operations=steps(points))
+    @example(initial=[(0.5, 5e-324), (0.5, 0.0)], operations=[])
+    @example(initial=[(0.5, 0.0)], operations=[(True, (0.5, 5e-324), 0), (False, None, 0)])
     def test_quadtree_streams(self, initial, operations):
-        structure = QuadtreeStructure.build(
-            list(dict.fromkeys(initial)), bounding_cube=HyperCube((0.0, 0.0), 1.0)
-        )
-        replay(structure, old_tree_adjacency, operations)
+        """Points no quadtree cell can split are refused, typed, and change nothing."""
+        initial = list(dict.fromkeys(initial))
+        try:
+            structure = QuadtreeStructure.build(initial, bounding_cube=HyperCube((0.0, 0.0), 1.0))
+        except StructureError as error:
+            assert any(inseparable(error, point, initial) for point in initial), error
+            return
+        replay(structure, old_tree_adjacency, operations, refusable=inseparable)
 
     @settings(max_examples=60, deadline=None)
     @given(initial=st.lists(strings, min_size=1, max_size=12), operations=steps(strings))

@@ -190,6 +190,38 @@ class TestSkipTrapezoidWeb:
         assert answer.above_segment == above
         assert answer.below_segment == below
 
+    def test_frame_units_do_not_pile_on_host_zero(self):
+        """A unit bounded only by the frame has no owning segment and goes by key hash.
+
+        When all of them went to host 0 it held 358 records here, against
+        a mean of 51; hashed, it holds 39.
+        """
+        web = SkipTrapezoidWeb(non_crossing_segments(64, seed=0), seed=0)
+        profile = web.memory_profile()
+        mean = sum(profile.values()) / len(profile)
+        assert profile[0] <= 2 * mean, (profile[0], mean)
+        web.validate()
+
+    def test_crossing_insert_fails_typed_and_changes_nothing(self):
+        """It used to commit the segment and then fail the handle as a duplicate."""
+        from repro.api import Cluster
+        from repro.storage import content_digest
+
+        segments = non_crossing_segments(16, seed=1)
+        cluster = Cluster("skiptrapezoid", segments, seed=1)
+        web = cluster.structure
+        (x1, y1), (x2, y2) = segments[0].left, segments[0].right
+        middle = ((x1 + x2) / 2, (y1 + y2) / 2)
+        crossing = Segment.of(
+            (middle[0] - 0.01, middle[1] - 5.0), (middle[0] + 0.013, middle[1] + 5.0)
+        )
+        assert crossing.crosses(segments[0])
+        digest = content_digest(web)
+        handle = cluster.insert(crossing)
+        assert isinstance(handle.error, StructureError)
+        assert content_digest(web) == digest and crossing not in web.segments
+        web.validate()
+
     def test_insert_and_delete_segment(self):
         segments = non_crossing_segments(12, seed=41)
         box = bounding_box(segments)

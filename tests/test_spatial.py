@@ -257,6 +257,29 @@ class TestSkipQuadtreeWeb:
         query = (0.503, 0.497)
         assert web.locate(query).answer.cell == web.level0_tree.locate(query).cube
 
+    @pytest.mark.parametrize(
+        "bad, fits_without_partner", [((0.5, 5e-324), True), ((2.0, 0.5), False)]
+    )
+    def test_refused_insert_fails_typed_and_changes_nothing(self, bad, fits_without_partner):
+        """A point no cell separates from a stored one, or outside the cube, is refused
+        before the skip-web commits: the handle fails typed, the contents are
+        unchanged, and the cluster keeps working."""
+        from repro.api import Cluster
+        from repro.storage import content_digest
+
+        points = uniform_points(31, seed=23) + [(0.5, 0.0)]
+        cluster = Cluster("skipquadtree", points, seed=3, bounding_cube=UNIT_CUBE)
+        web = cluster.structure
+        digest, records = content_digest(web), web.record_count()
+        handle = cluster.insert(bad)
+        assert not handle.ok
+        assert isinstance(handle.error, StructureError)
+        assert str(bad) in str(handle.error)
+        assert content_digest(web) == digest and web.record_count() == records
+        assert cluster.delete((0.5, 0.0)).ok
+        assert cluster.insert(bad).ok == fits_without_partner
+        web.validate()
+
     def test_approximate_nearest_neighbor(self, quad_web):
         points, web = quad_web
         rng = random.Random(5)

@@ -440,7 +440,7 @@ class _RaisesWhenUnpickled:
 
 #: A version-1 payload: loading it would raise, so a refusal proves it came first.
 _V1_PICKLE = pickle.dumps(_RaisesWhenUnpickled())
-_V1_SKEW = r"version 1\b.*version 2\b"
+_V1_SKEW = rf"version 1\b.*version {FORMAT_VERSION}\b"
 
 
 class TestRecordCodec:
@@ -641,6 +641,23 @@ class TestVersionOneRefusal:
             Cluster.recover(store)
         with pytest.raises(StorageError, match=_V1_SKEW):
             Cluster.load(store)
+
+
+class TestVersionTwoRefusal:
+    """Stores written by format 2 are refused: their logs replay to another layout.
+
+    Format 2 gave a new item to its search origin and put every planar
+    unit with no anchor segment on host 0, so replaying its log with this
+    build would rebuild the same items on other hosts, silently.
+    """
+
+    def test_v2_log_is_refused(self, tmp_path):
+        store = tmp_path / "v2"
+        store.mkdir()
+        line = _sealed(0, "create", {"structure": "skipweb1d"}, version=2)
+        (store / "log.jsonl").write_text(json.dumps(line) + "\n")
+        with pytest.raises(StorageError, match=rf"version 2\b.*version {FORMAT_VERSION}\b"):
+            Cluster.recover(str(store))
 
 
 _DELETE = object()

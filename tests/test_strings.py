@@ -190,6 +190,19 @@ class TestSkipTrieWeb:
         assert not web.contains(strings[3])
         web.validate()
 
+    def test_insert_outside_the_alphabet_fails_typed_and_changes_nothing(self):
+        from repro.api import Cluster
+        from repro.storage import content_digest
+
+        cluster = Cluster("skiptrie", random_strings(40, seed=33), seed=3)
+        web = cluster.structure
+        digest, records = content_digest(web), web.record_count()
+        handle = cluster.insert("ACGT")
+        assert isinstance(handle.error, StructureError)
+        assert content_digest(web) == digest and web.record_count() == records
+        assert cluster.insert("acgt").ok
+        web.validate()
+
     def test_dna_reads_deep_trie_queries(self):
         reads = dna_reads(100, seed=5)
         web = SkipTrieWeb(reads, alphabet=DNA, seed=3)
